@@ -84,7 +84,8 @@ fault-determinism:
 	$(GO) test -run Determinism ./internal/fault/ ./internal/engine/
 
 # Short native-fuzzing pass over every parser facing external input
-# (RINEX obs/nav, YUMA almanacs, NMEA sentences). Each target gets
+# (RINEX obs/nav, YUMA almanacs, NMEA sentences, the wire protocol's
+# subscribe/resume/fix decoders). Each target gets
 # FUZZTIME; seed corpora and past crashers live under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadObs -fuzztime=$(FUZZTIME) ./internal/rinex/
@@ -94,6 +95,10 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseGGA -fuzztime=$(FUZZTIME) ./internal/nmea/
 	$(GO) test -fuzz=FuzzFrameReader -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz=FuzzRankOneApplyInv -fuzztime=$(FUZZTIME) ./internal/lsq/
+	$(GO) test -fuzz=FuzzDecodeSubscribe -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz=FuzzDecodeResume -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz=FuzzPeekFix -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz=FuzzFixDecoderChain -fuzztime=$(FUZZTIME) ./internal/wire/
 
 # Regenerate every table and figure of the paper at full 24 h × 1 Hz
 # scale (a few minutes), plus the ablations.

@@ -3,8 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,40 +12,52 @@ import (
 	"time"
 
 	"gpsdl/internal/clock"
-	"gpsdl/internal/core"
+	"gpsdl/internal/engine"
 	"gpsdl/internal/eval"
+	"gpsdl/internal/fault"
 	"gpsdl/internal/scenario"
 	"gpsdl/internal/telemetry"
 	"gpsdl/internal/trace"
 )
 
-// discardLog is a no-output logger for exercising streamFixes directly.
-func discardLog() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
+// newTestTelemetry wires the server instrument set the way runEngine
+// does, around a one-receiver YYR1 engine with the quality layer on (the
+// gpsserve defaults). rec may be nil (tracing disabled).
+func newTestTelemetry(t *testing.T, maxAge time.Duration, rec *trace.Recorder) (*telemetry.Registry, *serverTelemetry) {
+	t.Helper()
+	return newTestServer(t, maxAge, engine.Config{Trace: rec})
 }
 
-// newTestTelemetry wires the full server instrument set the way run()
-// does, around a DLG solver and a linear clock predictor. rec may be nil
-// (tracing disabled, the default).
-func newTestTelemetry(t *testing.T, maxAge time.Duration, rec *trace.Recorder) (*telemetry.Registry, *serverTelemetry) {
+// newTestServer is newTestTelemetry with extra engine settings in cfg
+// (faults, seed, recorder); the station, registry, quality layer and
+// sink are filled in as gpsserve sets them.
+func newTestServer(t *testing.T, maxAge time.Duration, cfg engine.Config) (*telemetry.Registry, *serverTelemetry) {
 	t.Helper()
 	st, err := scenario.StationByID("YYR1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	pred := clock.NewLinearPredictor(5, 1e-4)
-	tel := wireTelemetry(reg, core.NewDLGSolver(pred), pred, NewBroadcaster(), nil, maxAge, rec, false, st)
+	tel := wireTelemetry(reg, NewBroadcaster(), nil, maxAge, cfg.Trace)
+	cfg.Receivers = 1
+	cfg.Stations = []scenario.Station{st}
+	cfg.Registry = reg
+	cfg.Quality = &engine.QualityConfig{}
+	cfg.Sink = tel.publish
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel.eng = eng
+	tel.health.shards = eng.ShardHealth
 	return reg, tel
 }
 
-// The acceptance criterion: /metrics must serve Prometheus text format
-// containing every key metric family from startup, before any traffic.
-func TestAdminMetricsEndpoint(t *testing.T) {
-	_, tel := newTestTelemetry(t, 0, nil)
+// scrape fetches /metrics from the admin mux.
+func scrape(t *testing.T, tel *serverTelemetry) string {
+	t.Helper()
 	srv := httptest.NewServer(newAdminMux(tel))
 	defer srv.Close()
-
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -61,21 +73,27 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := string(body)
+	return string(body)
+}
+
+// The acceptance criterion: /metrics must serve Prometheus text format
+// containing every key metric family from startup, before any traffic.
+func TestAdminMetricsEndpoint(t *testing.T) {
+	_, tel := newTestTelemetry(t, 0, nil)
+	out := scrape(t, tel)
 	for _, want := range []string{
 		// Required families.
-		core.MetricSolveSeconds,
-		core.MetricSolveFailures,
-		core.MetricNRIterations,
+		"engine_solve_seconds",
+		"engine_solve_failures_total",
 		clock.MetricResets,
+		clock.MetricCalibrations,
+		clock.MetricOutliers,
 		metricClients,
-		// Per-solver histogram series in Prometheus text shape.
-		`gps_solve_seconds_bucket{solver="DLG",le="`,
-		`gps_solve_seconds_bucket{solver="NR",le="+Inf"} 0`,
-		`gps_solve_seconds_count{solver="DLG"}`,
-		`gps_solve_seconds_count{solver="NR"}`,
-		`gps_solve_failures_total{solver="DLG"} 0`,
-		"# TYPE gps_solve_seconds histogram",
+		// Per-shard histogram series in Prometheus text shape.
+		`engine_solve_seconds_bucket{shard="0",le="`,
+		`engine_solve_seconds_count{shard="0"} 0`,
+		`engine_solve_failures_total{shard="0"} 0`,
+		"# TYPE engine_solve_seconds histogram",
 		"# TYPE gpsserve_clients gauge",
 		// Connection and epoch-loop families.
 		metricConnects,
@@ -91,29 +109,23 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// /metrics must reflect recorded activity.
+// /metrics must reflect recorded activity: the engine's fixes reach the
+// liveness counters through the sink, and the shared clock-predictor
+// counters see every session's calibration.
 func TestAdminMetricsReflectActivity(t *testing.T) {
 	_, tel := newTestTelemetry(t, 0, nil)
-	// Fail one solve (too few satellites) and record a fix.
-	if _, err := tel.solver.Solve(0, nil); err == nil {
-		t.Fatal("empty solve succeeded")
-	}
-	tel.health.recordEpoch()
-	tel.health.recordFix(1.25)
-	srv := httptest.NewServer(newAdminMux(tel))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
+	const epochs = 70 // past the predictor's 60-fix calibration window
+	if err := tel.eng.Run(context.Background(), epochs); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	out := string(body)
+	out := scrape(t, tel)
 	for _, want := range []string{
-		`gps_solve_failures_total{solver="DLG"} 1`,
-		"gpsserve_epochs_total 1",
-		"gpsserve_fixes_total 1",
-		"gpsserve_hdop 1.25",
+		"gpsserve_epochs_total 70",
+		"gpsserve_fixes_total 70",
+		`engine_fixes_total{shard="0"} 70`,
+		`engine_solve_seconds_count{shard="0"} 70`,
+		"gps_clock_calibrations_total 1",
+		"gpsserve_hdop ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q\n%s", want, out)
@@ -222,14 +234,9 @@ func TestAdminPprofRoutes(t *testing.T) {
 // /healthz must expose broadcaster backpressure: the live client count
 // and the cumulative drop total.
 func TestHealthzBackpressure(t *testing.T) {
-	st, err := scenario.StationByID("YYR1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := telemetry.NewRegistry()
-	pred := clock.NewLinearPredictor(5, 1e-4)
 	b := NewBroadcaster()
-	tel := wireTelemetry(reg, core.NewDLGSolver(pred), pred, b, nil, time.Hour, nil, false, st)
+	tel := wireTelemetry(reg, b, nil, time.Hour, nil)
 	// Register one fake client and two historical drops directly; the
 	// broadcaster lifecycle itself is covered by the server tests.
 	b.clients[nil] = nil
@@ -324,56 +331,35 @@ func TestAdminTraceDisabled(t *testing.T) {
 	}
 }
 
-// streamFixes must record one trace per epoch with the full pipeline
-// span set, and capture exemplars when a threshold is crossed.
+// The served fix stream records one trace per epoch (a single receiver
+// samples every epoch) with the full stage span set, and captures
+// exemplars that replay byte-identically when a threshold is crossed.
 func TestStreamFixesTraces(t *testing.T) {
-	st, err := scenario.StationByID("YYR1")
-	if err != nil {
+	rec := trace.New(trace.Config{Capacity: 128, SlowThreshold: time.Nanosecond})
+	_, tel := newTestTelemetry(t, 0, rec)
+	const epochs = 100
+	if err := tel.eng.Run(context.Background(), epochs); err != nil {
 		t.Fatal(err)
 	}
-	g := scenario.NewGenerator(st, scenario.DefaultConfig(11))
-	rec := trace.New(trace.Config{Capacity: 64, SlowThreshold: time.Nanosecond})
-	reg := telemetry.NewRegistry()
-	pred := clock.NewLinearPredictor(5, 1e-4)
-	b := NewBroadcaster()
-	tel := wireTelemetry(reg, core.NewDLGSolver(pred), pred, b, nil, 0, rec, false, st)
-	source := func(i int) (scenario.Epoch, error) { return g.EpochAt(float64(i)) }
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- streamFixes(ctx, source, tel, pred, b, 2000, discardLog()) }()
-	deadline := time.Now().Add(10 * time.Second)
-	for rec.Count() < 20 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if rec.Count() != epochs {
+		t.Fatalf("recorded %d traces, want one per epoch (%d)", rec.Count(), epochs)
 	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if rec.Count() < 20 {
-		t.Fatalf("recorded %d traces, want >= 20", rec.Count())
-	}
-	// Find a successful fix (the DLG solver needs predictor warm-up, so
-	// the earliest epochs fail) and check its span pipeline.
-	var fix *trace.Trace
-	for _, tr := range rec.Snapshot() {
-		if tr.Err == "" {
-			fix = tr
-			break
-		}
-	}
-	if fix == nil {
-		t.Fatal("no successful fix among recorded traces")
+	// The most recent trace is past the predictor's warm-up, so the
+	// primary DLG solver produced its fix.
+	fix := rec.Snapshot()[0]
+	if fix.Err != "" {
+		t.Fatalf("epoch %d trace failed: %s", fix.Epoch, fix.Err)
 	}
 	for _, name := range []string{
-		"epoch/generate", "clock/predict", "solve/dlg",
-		"dop/compute", "nmea/encode", "broadcast",
+		"epoch/generate", "clock/predict", "solve/dlg-fast",
+		"dop/compute", "quality", "nmea/encode", "broadcast",
 	} {
 		if fix.Span(name) == nil {
 			t.Errorf("trace missing span %s: %+v", name, fix.Spans)
 		}
 	}
-	if fix.T == 0 {
-		t.Error("trace T not back-filled from the generated epoch")
+	if fix.T != float64(fix.Epoch) {
+		t.Errorf("trace T = %v, want the epoch time %d", fix.T, fix.Epoch)
 	}
 	exs := rec.Exemplars()
 	if len(exs) == 0 {
@@ -383,47 +369,59 @@ func TestStreamFixesTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Solver != "DLG" || len(in.Obs) == 0 || in.Station.ID != "YYR1" {
-		t.Errorf("exemplar input = %+v", in)
+	if in.Solver != "DLG-fast" || len(in.Obs) == 0 || in.Station.ID != "YYR1" {
+		t.Fatalf("exemplar input = %+v", in)
+	}
+	sol, err := in.ReplaySolver().Solve(in.T, in.Obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Pos != in.Solution {
+		t.Errorf("exemplar replay %+v != captured %+v", sol.Pos, in.Solution)
 	}
 }
 
-// A RAIM-gated server must emit raim/check spans wrapping per-solve
-// spans for the initial fix.
+// RAIM runs inside the engine's solver chain, and its verdict rides on
+// the solve span: an epoch whose faulted satellite RAIM excluded carries
+// the excluded index there.
 func TestStreamFixesRAIMSpans(t *testing.T) {
 	st, err := scenario.StationByID("YYR1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := scenario.NewGenerator(st, scenario.DefaultConfig(12))
-	rec := trace.New(trace.Config{Capacity: 64})
-	reg := telemetry.NewRegistry()
-	pred := clock.NewLinearPredictor(5, 1e-4)
-	b := NewBroadcaster()
-	tel := wireTelemetry(reg, &core.NRSolver{}, pred, b, nil, 0, rec, true, st)
-	source := func(i int) (scenario.Epoch, error) { return g.EpochAt(float64(i)) }
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- streamFixes(ctx, source, tel, pred, b, 2000, discardLog()) }()
-	deadline := time.Now().Add(10 * time.Second)
-	for rec.Count() < 5 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancel()
-	if err := <-done; err != nil {
+	ep, err := scenario.NewGenerator(st, scenario.DefaultConfig(1)).EpochAt(10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var checked *trace.Trace
+	prog, err := fault.ParseSpec(fmt.Sprintf("step:prn=%d,bias=500,from=5,until=40", ep.Obs[0].PRN))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.New(trace.Config{Capacity: 64})
+	_, tel := newTestServer(t, 0, engine.Config{Trace: rec, Faults: prog})
+	if err := tel.eng.Run(context.Background(), 40); err != nil {
+		t.Fatal(err)
+	}
+	var excluded *trace.Trace
 	for _, tr := range rec.Snapshot() {
-		if tr.Span("raim/check") != nil {
-			checked = tr
-			break
+		if tr.Span("fault/inject") == nil {
+			t.Fatalf("epoch %d trace missing the fault/inject span: %+v", tr.Epoch, tr.Spans)
+		}
+		for _, sp := range tr.Spans {
+			if !strings.HasPrefix(sp.Name, "solve/") {
+				continue
+			}
+			for _, a := range sp.Attrs {
+				if a.Key == "excluded" && a.Value != -1 {
+					excluded = tr
+				}
+			}
 		}
 	}
-	if checked == nil {
-		t.Fatal("no trace carries a raim/check span")
+	if excluded == nil {
+		t.Fatal("no solve span carries a RAIM exclusion under a 500 m step fault")
 	}
-	if checked.Span("solve/nr") == nil {
-		t.Errorf("RAIM trace missing inner solve/nr span: %+v", checked.Spans)
+	if excluded.Epoch < 5 {
+		t.Errorf("exclusion at epoch %d, before the fault window", excluded.Epoch)
 	}
 }

@@ -231,7 +231,6 @@ func TestServeSessionIDsFlagErrors(t *testing.T) {
 		"with-receivers": {"-session-ids", "0,1", "-receivers", "2"},
 		"bad-grammar":    {"-session-ids", "1,x"},
 		"duplicate":      {"-session-ids", "2,2"},
-		"raim":           {"-wire", "127.0.0.1:0", "-raim"},
 		"dataset":        {"-session-ids", "0", "-dataset", "nope.json"},
 	} {
 		if err := run(context.Background(), args); err == nil {

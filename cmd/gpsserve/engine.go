@@ -1,9 +1,10 @@
-// Multi-receiver serving mode: -receivers N > 1 swaps the single-station
-// epoch loop for internal/engine's sharded fix engine. Every receiver's
-// GGA/RMC stream is fanned out through the same broadcaster, the admin
-// endpoint serves the engine's per-shard metrics (fixes, queue depth,
-// solve-latency histograms) next to the broadcaster/health families, and
-// /healthz keeps working — fed by fix events from all receivers.
+// The serving pipeline: every gpsserve mode — one receiver, -receivers
+// N, a -dataset replay, a cluster node — runs internal/engine's sharded
+// fix engine. Every receiver's GGA/RMC stream is fanned out through the
+// same broadcaster, the admin endpoint serves the engine's per-shard
+// metrics (fixes, queue depth, solve-latency histograms) next to the
+// broadcaster/health families, /healthz is fed by fix events from all
+// receivers, and /debug/trace by the engine's sampled epoch traces.
 package main
 
 import (
@@ -24,10 +25,11 @@ import (
 	"gpsdl/internal/scenario"
 	"gpsdl/internal/slo"
 	"gpsdl/internal/telemetry"
+	"gpsdl/internal/trace"
 	"gpsdl/internal/wire"
 )
 
-// engineParams is the subset of gpsserve flags the engine mode consumes.
+// engineParams is the validated gpsserve configuration runEngine serves.
 type engineParams struct {
 	receivers  int
 	sessions   []int  // explicit global session ids (cluster mode); empty uses receivers
@@ -35,6 +37,7 @@ type engineParams struct {
 	workers    int
 	epochCache bool // share per-epoch constellation snapshots across sessions
 	station    string
+	dataset    *scenario.Dataset // replayed once instead of live generation; nil = live
 	solver     string
 	addr       string
 	adminAddr  string
@@ -59,6 +62,9 @@ type engineParams struct {
 	dlgVariant string // DLG covariance route: fast, paper or explicit
 	weighting  bool   // C/N0 → sigma weighting on the solve paths
 	disruption bool   // innovation-outlier down-weighting before RAIM
+
+	rec       *trace.Recorder // sampled epoch traces + exemplars; nil disables
+	traceDump string          // flight-recorder dump written on shutdown; "" = none
 
 	logs *telemetry.Logging
 }
@@ -132,12 +138,17 @@ func resolveStations(id string) ([]scenario.Station, error) {
 	return []scenario.Station{st}, nil
 }
 
-// runEngine serves fixes from cfg.receivers concurrent sessions, paced at
-// cfg.rate epochs per second per receiver, until ctx ends.
+// runEngine serves fixes from p.receivers concurrent sessions, paced at
+// p.rate epochs per second per receiver, until ctx ends or a -dataset
+// replay has played its last epoch.
 func runEngine(ctx context.Context, p engineParams) error {
-	stations, err := resolveStations(p.station)
-	if err != nil {
-		return err
+	var stations []scenario.Station
+	var err error
+	if p.dataset == nil {
+		stations, err = resolveStations(p.station)
+		if err != nil {
+			return err
+		}
 	}
 	var prog fault.Program
 	if p.faults != "" {
@@ -155,15 +166,15 @@ func runEngine(ctx context.Context, p engineParams) error {
 		qcfg = &engine.QualityConfig{Window: p.qualityWin, Objectives: objs}
 	}
 	reg := telemetry.NewRegistry()
-	telemetry.RegisterBuildInfo(reg)
 	b := NewBroadcaster()
-	b.Metrics = NewBroadcasterMetrics(reg)
-	b.Logger = p.logs.Component("broadcaster")
+	// A fix is stale once ~10 epoch periods have passed without one
+	// (floored at 10 s so slow streaming rates are not declared dead).
 	maxAge := time.Duration(10 * float64(time.Second) / p.rate)
 	if maxAge < 10*time.Second {
 		maxAge = 10 * time.Second
 	}
-	h := newHealth(reg, maxAge, b)
+	tel := wireTelemetry(reg, b, p.logs, maxAge, p.rec)
+	h := tel.health
 	h.ckptPath = p.ckptPath
 	ckptEvery := 0
 	if p.ckptPath != "" {
@@ -197,10 +208,6 @@ func runEngine(ctx context.Context, p engineParams) error {
 		}
 		onIncident = capturer.handle
 	}
-	// node is captured by the sink closure below; it is assigned (or left
-	// nil) before the engine starts running, so shard goroutines only
-	// ever observe the final value.
-	var node *cluster.Node
 	ecfg := engine.Config{
 		Receivers:         p.receivers,
 		Workers:           p.workers,
@@ -217,25 +224,9 @@ func runEngine(ctx context.Context, p engineParams) error {
 		Disruption:        p.disruption,
 		Quality:           qcfg,
 		OnIncident:        onIncident,
-		// The sink runs on shard goroutines; health counters are atomic
-		// and Broadcast locks internally, so no extra synchronization is
-		// needed. GGA/RMC must be copied (string conversion does) before
-		// the callback returns.
-		Sink: func(e engine.FixEvent) {
-			h.recordEpoch()
-			if node != nil {
-				// The wire hub gets every event, misses included: a MISS
-				// frame tells subscribers "no fix this epoch" where a
-				// skipped epoch would read as a stream gap.
-				node.Publish(e)
-			}
-			if e.Err != nil {
-				return
-			}
-			h.recordFix(e.HDOP)
-			b.Broadcast(string(e.GGA))
-			b.Broadcast(string(e.RMC))
-		},
+		Trace:             p.rec,
+		Dataset:           p.dataset,
+		Sink:              tel.publish,
 	}
 	if len(p.sessions) > 0 {
 		ecfg.Receivers = 0
@@ -250,6 +241,8 @@ func runEngine(ctx context.Context, p engineParams) error {
 		return err
 	}
 	h.shards = eng.ShardHealth
+	tel.eng, tel.inc = eng, capturer
+	var node *cluster.Node
 	if p.wireAddr != "" {
 		// The cluster serving tier: a Node owning the wire hub plus this
 		// primary engine, with the /cluster/* control plane on the admin
@@ -265,6 +258,9 @@ func runEngine(ctx context.Context, p engineParams) error {
 			OnRestore: h.recordRestore,
 		})
 		node.Track(eng)
+		// Assigned before the engine runs, so the sink's shard
+		// goroutines only ever observe the final value.
+		tel.node = node
 	}
 	if capturer != nil {
 		capturer.start(eng, h, configSnapshot(p))
@@ -288,6 +284,16 @@ func runEngine(ctx context.Context, p engineParams) error {
 	}
 	fmt.Printf("gpsserve: engine mode, %d receivers × %s over %d workers on %s (%g epoch/s each)\n",
 		nSessions, p.solver, eng.Workers(), ln.Addr(), p.rate)
+	limit := -1 // live generation paces until ctx ends
+	if p.dataset != nil {
+		// Play the rest of the file once: a restored replay resumes at
+		// the checkpoint epoch, not at the start.
+		limit = p.dataset.Len()
+		if o := h.lastRestore.Load(); o != nil && o.Outcome == "ok" {
+			limit -= o.Epoch
+		}
+		fmt.Printf("gpsserve: replaying %d dataset epochs for %s once\n", limit, p.dataset.Station.ID)
+	}
 	if p.faults != "" {
 		fmt.Printf("gpsserve: fault injection active: %s (seed %d)\n", prog.String(), p.faultSeed)
 	}
@@ -304,13 +310,12 @@ func runEngine(ctx context.Context, p engineParams) error {
 	bctx, bcancel := context.WithCancel(context.Background())
 	defer bcancel()
 	if p.adminAddr != "" {
-		tel := &serverTelemetry{reg: reg, health: h, eng: eng, inc: capturer, node: node}
 		bound, err := listenAdmin(bctx, p.adminAddr, tel, p.logs.Component("admin"))
 		if err != nil {
 			ln.Close()
 			return err
 		}
-		fmt.Printf("gpsserve: admin on http://%s (/metrics /healthz /debug/status /debug/incidents)\n", bound)
+		fmt.Printf("gpsserve: admin on http://%s (/metrics /healthz /debug/status /debug/trace /debug/incidents /debug/pprof)\n", bound)
 	}
 	if node != nil {
 		wln, err := net.Listen("tcp", p.wireAddr)
@@ -350,7 +355,7 @@ func runEngine(ctx context.Context, p engineParams) error {
 		}
 	}()
 
-	err = paceEngine(ctx, eng, p.rate, p.logs.Component("engine"))
+	err = paceEngine(ctx, eng, p.rate, limit, p.logs.Component("engine"))
 
 	// Ordered drain. The engine is quiescent once RunPaced returns (and
 	// adopted engines once node.Wait returns — their pacers share ctx),
@@ -395,6 +400,13 @@ func runEngine(ctx context.Context, p engineParams) error {
 	fmt.Printf("gpsserve: drained: batches enqueued=%d done=%d aborted=%d drained=%d conserved=%v flushed=%v\n",
 		st.BatchesEnqueued, st.BatchesDone, st.BatchesAborted, st.BatchesDrained,
 		st.BatchesConserved(), flushed)
+	if p.traceDump != "" {
+		if derr := p.rec.DumpFile(p.traceDump); derr != nil {
+			p.logs.Component("trace").Error("flight-recorder dump failed", "err", derr)
+		} else {
+			fmt.Printf("gpsserve: wrote flight-recorder dump %s\n", p.traceDump)
+		}
+	}
 	if err != nil && ctx.Err() == nil {
 		return err
 	}
@@ -465,11 +477,16 @@ func saveCheckpoint(st *checkpoint.State, path string, h *health, log *slog.Logg
 }
 
 // paceEngine drives RunPaced off a wall-clock ticker and logs a summary
-// when the run ends.
-func paceEngine(ctx context.Context, eng *engine.Engine, rate float64, log *slog.Logger) error {
+// when the run ends. limit >= 0 stops after that many ticks (a dataset
+// played once); a negative limit paces until ctx ends.
+func paceEngine(ctx context.Context, eng *engine.Engine, rate float64, limit int, log *slog.Logger) error {
 	ticker := time.NewTicker(time.Duration(float64(time.Second) / rate))
 	defer ticker.Stop()
-	err := eng.RunPaced(ctx, ticker.C)
+	ticks := ticker.C
+	if limit >= 0 {
+		ticks = firstTicks(ctx, ticker.C, limit)
+	}
+	err := eng.RunPaced(ctx, ticks)
 	st := eng.Stats()
 	log.Info("engine stopped",
 		"fixes", st.Fixes,
@@ -494,4 +511,26 @@ func paceEngine(ctx context.Context, eng *engine.Engine, rate float64, log *slog
 		return err
 	}
 	return nil
+}
+
+// firstTicks forwards the first n ticks of src and then closes, which
+// ends RunPaced once the last one is processed.
+func firstTicks(ctx context.Context, src <-chan time.Time, n int) <-chan time.Time {
+	out := make(chan time.Time)
+	go func() {
+		defer close(out)
+		for ; n > 0; n-- {
+			select {
+			case t := <-src:
+				select {
+				case out <- t:
+				case <-ctx.Done():
+					return
+				}
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return out
 }

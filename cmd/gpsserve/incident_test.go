@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -22,6 +23,11 @@ import (
 	"gpsdl/internal/telemetry"
 	"gpsdl/internal/trace"
 )
+
+// discardLog is a no-output logger for components under test.
+func discardLog() *slog.Logger {
+	return slog.New(slog.NewTextHandler(io.Discard, nil))
+}
 
 // runIncidentEngine drives a journaling engine under a paging fault
 // with incident capture into dir, returning the capturer and the

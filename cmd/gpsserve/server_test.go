@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -256,7 +258,8 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// Replay mode: serve from a saved dataset file.
+// Replay mode: serve from a saved dataset file, played once — run
+// returns nil after the dataset's last epoch without being canceled.
 func TestServeReplayDataset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network end-to-end")
@@ -312,11 +315,15 @@ func TestServeReplayDataset(t *testing.T) {
 	if d := fix.Pos.ToECEF().DistanceTo(st.Pos); d > 100 {
 		t.Errorf("replayed fix %v m from station", d)
 	}
-	cancel()
+	// 120 epochs at 100/s play in ~1.2 s; the server then drains and
+	// returns on its own.
 	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Error("server did not stop")
+	case err := <-done:
+		if err != nil {
+			t.Errorf("run returned %v after the dataset's last epoch", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("server did not stop after playing the dataset once")
 	}
 }
 
@@ -340,12 +347,9 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad listen address", []string{"-addr", "256.256.256.256:99999"}},
 		{"zero receivers", []string{"-receivers", "0"}},
 		{"engine with dataset", []string{"-receivers", "2", "-dataset", "/does/not/exist.jsonl"}},
-		{"engine with raim", []string{"-receivers", "2", "-raim"}},
-		{"engine with trace dump", []string{"-receivers", "2", "-trace", "16", "-trace-dump", "/tmp/engine-trace.json"}},
 		{"engine unknown station", []string{"-receivers", "2", "-station", "NOPE"}},
 		{"engine unknown solver", []string{"-receivers", "2", "-solver", "magic"}},
 		{"restore without checkpoint", []string{"-restore"}},
-		{"checkpoint single receiver", []string{"-checkpoint", "/tmp/gps.ckpt"}},
 		{"zero checkpoint every", []string{"-checkpoint-every", "0"}},
 		{"zero checkpoint interval", []string{"-checkpoint-interval", "0s"}},
 	}
@@ -353,6 +357,29 @@ func TestRunFlagErrors(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			if err := run(ctx, tt.args); err == nil {
 				t.Error("run succeeded, want error")
+			}
+		})
+	}
+	// Combinations the single serving pipeline accepts in every mode:
+	// each must start, serve briefly, and write its file on shutdown.
+	dir := t.TempDir()
+	for _, tt := range []struct {
+		name, file string
+		args       []string
+	}{
+		{"single receiver checkpoint", "gps.ckpt", []string{"-receivers", "1", "-checkpoint"}},
+		{"engine trace dump", "trace.json", []string{"-receivers", "2", "-trace", "16", "-trace-dump"}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			path := filepath.Join(dir, tt.file)
+			args := append(tt.args, path, "-rate", "200", "-addr", "127.0.0.1:0", "-drain-timeout", "100ms")
+			runCtx, cancel := context.WithTimeout(ctx, 300*time.Millisecond)
+			defer cancel()
+			if err := run(runCtx, args); err != nil {
+				t.Fatalf("run(%v) = %v, want success", args, err)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("shutdown did not write %s: %v", tt.file, err)
 			}
 		})
 	}

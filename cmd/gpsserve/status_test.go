@@ -15,12 +15,15 @@ import (
 	"gpsdl/internal/telemetry"
 )
 
-// Single-receiver mode: /debug/status serves the liveness block without
-// a quality section, in both JSON and text renderings.
+// Single-receiver serving (the gpsserve default) runs the engine too:
+// /debug/status serves the liveness block and the one session's quality
+// verdict, in both JSON and text renderings.
 func TestStatusSingleMode(t *testing.T) {
 	_, tel := newTestTelemetry(t, time.Hour, nil)
-	tel.health.recordEpoch()
-	tel.health.recordFix(1.1)
+	const epochs = 64 // one quality evaluation period: the window publishes
+	if err := tel.eng.Run(context.Background(), epochs); err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(newAdminMux(tel))
 	defer srv.Close()
 
@@ -39,11 +42,11 @@ func TestStatusSingleMode(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Health.Status != "ok" || sr.Health.Fixes != 1 {
+	if sr.Health.Status != "ok" || sr.Health.Fixes != epochs || len(sr.Health.Shards) != 1 {
 		t.Errorf("health block = %+v", sr.Health)
 	}
-	if sr.Quality != nil {
-		t.Errorf("single mode carries a quality block: %+v", sr.Quality)
+	if q := sr.Quality; q == nil || !q.Enabled || q.Window.Count != epochs {
+		t.Errorf("quality block = %+v, want the one session's %d epochs", sr.Quality, epochs)
 	}
 
 	text, err := http.Get(srv.URL + "/debug/status?format=text")
@@ -55,7 +58,7 @@ func TestStatusSingleMode(t *testing.T) {
 		t.Errorf("text Content-Type = %q, want text/plain; charset=utf-8", ct)
 	}
 	body, _ := io.ReadAll(text.Body)
-	for _, want := range []string{"status", "ok", "quality", "disabled"} {
+	for _, want := range []string{"status", "ok", "SHARD", "slo verdict", "fleet window"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("text status missing %q:\n%s", want, body)
 		}

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"context"
-	"strings"
-	"time"
-
-	"gpsdl/internal/telemetry"
-	"gpsdl/internal/trace"
-)
+import "gpsdl/internal/telemetry"
 
 // Canonical metric names exported by the solver instrumentation. The
 // per-solver families carry a solver="NR"/"DLO"/"DLG"/... label.
@@ -67,65 +60,6 @@ func NewSolverMetrics(reg *telemetry.Registry, name string) *SolverMetrics {
 			"Newton-Raphson iterations across successful NR solves.")
 	}
 	return m
-}
-
-// InstrumentedSolver wraps a Solver with latency, failure, and
-// iteration-count metrics. With nil Metrics it forwards directly and
-// skips even the clock reads, so an uninstrumented wrapper costs one
-// pointer test per solve.
-type InstrumentedSolver struct {
-	Solver
-	Metrics *SolverMetrics
-}
-
-// Instrument wraps s with the standard per-solver metrics registered in
-// reg (named after s.Name()). With a nil registry the wrapper is
-// overhead-free passthrough.
-func Instrument(s Solver, reg *telemetry.Registry) *InstrumentedSolver {
-	return &InstrumentedSolver{Solver: s, Metrics: NewSolverMetrics(reg, s.Name())}
-}
-
-// Solve implements Solver, recording around the wrapped solver.
-func (w *InstrumentedSolver) Solve(t float64, obs []Observation) (Solution, error) {
-	m := w.Metrics
-	if m == nil {
-		return w.Solver.Solve(t, obs)
-	}
-	start := time.Now()
-	sol, err := w.Solver.Solve(t, obs)
-	m.SolveSeconds.Observe(time.Since(start).Seconds())
-	if err != nil {
-		m.Failures.Inc()
-		return sol, err
-	}
-	if sol.Iterations > 0 {
-		m.Iterations.Add(uint64(sol.Iterations))
-		m.NRIterations.Add(uint64(sol.Iterations))
-	}
-	return sol, nil
-}
-
-// SpanName returns the canonical span name for a solver: "solve/" plus
-// the lower-cased solver name ("solve/nr", "solve/dlg", ...).
-func SpanName(s Solver) string { return "solve/" + strings.ToLower(s.Name()) }
-
-// SolveTraced runs s.Solve under a per-stage span on the context's
-// active trace. With no trace in ctx (the common case) the only
-// overhead is one context lookup — no clock reads, no allocations —
-// matching the nil-instrument guarantee of the telemetry layer.
-func SolveTraced(ctx context.Context, s Solver, t float64, obs []Observation) (Solution, error) {
-	sp := trace.Start(ctx, SpanName(s), trace.Int("sats", len(obs)))
-	sol, err := s.Solve(t, obs)
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr(trace.String("err", err.Error()))
-		} else {
-			sp.SetAttr(trace.Int("iterations", sol.Iterations),
-				trace.Float("clock_bias_m", sol.ClockBias))
-		}
-		sp.End()
-	}
-	return sol, err
 }
 
 // GLSMetrics counts which covariance path DLG solves take

@@ -1,7 +1,7 @@
 // Package engine runs many independent GPS receiver sessions — each with
 // its own station, trajectory, clock predictor and solver — over a sharded
-// worker pool. It is the multi-receiver serving core behind cmd/gpsserve's
-// -receivers mode and cmd/gpsbench's engine mode.
+// worker pool. It is the serving core behind every cmd/gpsserve mode and
+// cmd/gpsbench's engine mode.
 //
 // Sharding model: receiver r is owned by shard r mod Workers for the
 // engine's whole lifetime. A shard is one goroutine that steps its
@@ -51,6 +51,7 @@ import (
 	"gpsdl/internal/scenario"
 	"gpsdl/internal/slo"
 	"gpsdl/internal/telemetry"
+	"gpsdl/internal/trace"
 )
 
 // FixEvent is the engine's per-epoch output. GGA, RMC and Faults point
@@ -220,6 +221,19 @@ type Config struct {
 	// ≤ 0 derives it from QueueDepth and BatchSize (the bound on how far
 	// shards can skew) with epochcache.DefaultCapacity as the floor.
 	EpochCacheSize int
+	// Trace, when non-nil, records sampled per-epoch stage traces into
+	// this flight recorder: session k of R traces epoch i when
+	// i%R == k, so the engine records one trace per epoch index. Traced
+	// fixes crossing the recorder's slow/residual thresholds are captured
+	// as replayable exemplars. Nil disables tracing; the untraced step
+	// pays only nil tests, and traced or not the fix output is identical.
+	Trace *trace.Recorder
+	// Dataset, when non-nil, replays a recorded dataset instead of live
+	// generation: the engine runs one session at the dataset's station
+	// whose epochs are the dataset's, in order. Receivers must be 1 and
+	// Stations is ignored. Epoch indices past the dataset are epoch
+	// errors, so a caller plays it once with Run(ctx, Dataset.Len()).
+	Dataset *scenario.Dataset
 }
 
 // job is a half-open range of epoch indices [e0, e1) for one shard.
@@ -281,14 +295,15 @@ type Engine struct {
 }
 
 // chainMetrics bundles the engine-wide (cross-shard) fallback, RAIM,
-// DLG covariance-path and disruption counters shared by every session;
-// the underlying counters are atomic, so sharing across shard
-// goroutines is safe.
+// DLG covariance-path, disruption and clock-predictor counters shared by
+// every session; the underlying counters are atomic, so sharing across
+// shard goroutines is safe.
 type chainMetrics struct {
 	fallback *core.FallbackMetrics
 	raim     *core.RAIMMetrics
 	gls      *core.GLSMetrics
 	disrupt  *core.DisruptionMetrics
+	clock    *clock.Metrics
 }
 
 // New builds the engine: sessions, shards, queues and metrics. It
@@ -316,6 +331,15 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Receivers < 1 {
 		return nil, fmt.Errorf("engine: Receivers must be >= 1, have %d", cfg.Receivers)
+	}
+	if ds := cfg.Dataset; ds != nil {
+		if cfg.Receivers != 1 {
+			return nil, fmt.Errorf("engine: a Dataset holds one receiver's observations, have Receivers=%d", cfg.Receivers)
+		}
+		if ds.Len() == 0 {
+			return nil, fmt.Errorf("engine: dataset for %s has no epochs", ds.Station.ID)
+		}
+		cfg.Stations = []scenario.Station{ds.Station}
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -365,6 +389,7 @@ func New(cfg Config) (*Engine, error) {
 		raim:     core.NewRAIMMetrics(cfg.Registry),
 		gls:      core.NewGLSMetrics(cfg.Registry),
 		disrupt:  core.NewDisruptionMetrics(cfg.Registry),
+		clock:    clock.NewMetrics(cfg.Registry),
 	}
 	if !cfg.DisableEpochCache {
 		// One constellation, one snapshot ring, shared by every session.
@@ -407,8 +432,12 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		s.posInShard = len(sh.sessions)
+		s.rec, s.traceEvery, s.traceSlot = cfg.Trace, cfg.Receivers, idx
 		e.sessions[idx] = s
 		sh.sessions = append(sh.sessions, s)
+	}
+	if cfg.Dataset != nil {
+		e.sessions[0].pre = cfg.Dataset.Epochs
 	}
 	if cfg.Quality != nil {
 		qc := cfg.Quality.withDefaults()
@@ -468,11 +497,12 @@ func New(cfg Config) (*Engine, error) {
 
 // Pregenerate computes and caches epochs [0, n) for every session, so a
 // subsequent run measures only the fix path (solve, DOP, NMEA), not
-// scenario generation. Benchmarks use it; serving does not need it. The
-// loop is epoch-outer so all sessions generate a given epoch back to
-// back: with the shared epoch cache that is one constellation propagation
-// per epoch total (session-outer order would wrap the snapshot ring
-// between sessions and evict every epoch before its next reader).
+// scenario generation. Benchmarks use it; Config.Dataset fills the same
+// per-session epoch slice from a recorded file. The loop is epoch-outer
+// so all sessions generate a given epoch back to back: with the shared
+// epoch cache that is one constellation propagation per epoch total
+// (session-outer order would wrap the snapshot ring between sessions and
+// evict every epoch before its next reader).
 func (e *Engine) Pregenerate(n int) error {
 	for _, s := range e.sessions {
 		s.pre = make([]scenario.Epoch, n)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"gpsdl/internal/quality"
 	"gpsdl/internal/rng"
 	"gpsdl/internal/scenario"
+	"gpsdl/internal/trace"
 )
 
 // SessionState is a session's health: Healthy fixes come from a clean
@@ -96,7 +98,7 @@ type session struct {
 	gen    *scenario.Generator
 	inj    *fault.Injector // nil when the run is fault-free
 	pred   clock.Predictor
-	warm   *core.NRSolver // feeds the predictor, gpsserve-style
+	warm   *core.NRSolver // feeds the predictor (paper §4.2)
 	chain  *core.FallbackChain
 	probe  core.Solver  // cheap DLO used for half-open breaker probes
 	solver string       // primary solver name, kept for restart
@@ -155,6 +157,14 @@ type session struct {
 	// Flight-journal state (nil when Config.JournalSink is nil),
 	// owned by the shard goroutine.
 	jq *sessionJournal
+
+	// Flight-recorder sampling (rec nil when Config.Trace is nil): the
+	// session traces epoch i when i%traceEvery == traceSlot. tb is the
+	// open trace of the epoch being stepped, nil when it is untraced.
+	rec        *trace.Recorder
+	traceEvery int
+	traceSlot  int
+	tb         *trace.T
 
 	obs  []core.Observation // reused epoch conversion buffer
 	fobs []scenario.SatObs  // reused faulted-observation buffer
@@ -237,6 +247,9 @@ func newSession(cfg Config, r, shardID int, m *shardMetrics, cm *chainMetrics, c
 	if cfg.Disruption {
 		s.disrupt = &core.DisruptionDetector{Metrics: cm.disrupt}
 	}
+	if lp, ok := s.pred.(*clock.LinearPredictor); ok {
+		lp.Metrics = cm.clock
+	}
 	if err := s.buildSolvers(); err != nil {
 		return nil, err
 	}
@@ -287,8 +300,11 @@ func (s *session) restart() {
 // step runs one epoch end to end: obtain observations, inject faults,
 // warm-start NR to feed the clock predictor, fallback-chain solve (or
 // coast), DOP, NMEA, sink. With pregenerated epochs the whole body is
-// allocation-free in steady state.
+// allocation-free in steady state. A sampled epoch (see traceEvery)
+// records each stage as a span; the untraced step pays nil tests only.
 func (s *session) step(i int) {
+	tb := s.startTrace(i)
+	sp := tb.Start("epoch/generate")
 	var ep scenario.Epoch
 	if s.pre != nil {
 		if i >= len(s.pre) {
@@ -310,12 +326,15 @@ func (s *session) step(i int) {
 			return
 		}
 	}
+	sp.End()
 	satObs := ep.Obs
 	var fev []fault.Event
 	if s.inj != nil {
+		sp = tb.Start("fault/inject")
 		s.fobs, s.fev = s.inj.Apply(ep.T, ep.Obs, s.fobs[:0], s.fev[:0])
 		satObs, fev = s.fobs, s.fev
 		s.m.faultEvents.Add(uint64(len(fev)))
+		sp.End()
 	}
 	obs := s.obs[:0]
 	for j := range satObs {
@@ -340,14 +359,16 @@ func (s *session) step(i int) {
 		disrupted = s.disrupt.Downweight(ref, obs) > 0
 	}
 	// Feed the predictor from a warm NR solve (Section 4.2's "use the
-	// clock bias calculated by the NR method"), exactly as gpsserve does —
-	// but gate on position plausibility so a grossly faulted epoch cannot
-	// poison the clock model the coasting path depends on.
+	// clock bias calculated by the NR method"), gated on position
+	// plausibility so a grossly faulted epoch cannot poison the clock
+	// model the coasting path depends on.
+	sp = tb.Start("clock/predict")
 	if nrSol, err := s.warm.Solve(ep.T, obs); err == nil {
 		if n := nrSol.Pos.Norm(); n >= minPlausibleNorm && n <= maxPlausibleNorm {
 			s.pred.Observe(clock.Fix{T: ep.T, Bias: nrSol.ClockBias / geo.SpeedOfLight})
 		}
 	}
+	sp.End()
 	start := time.Now()
 	if s.brkOpen {
 		s.openEpochs++
@@ -369,7 +390,11 @@ func (s *session) step(i int) {
 		}
 	}
 	res, err := s.chain.Solve(ep.T, obs)
-	s.m.solveSeconds.Observe(time.Since(start).Seconds())
+	solveDur := time.Since(start)
+	s.m.solveSeconds.Observe(solveDur.Seconds())
+	if tb != nil {
+		s.traceSolve(tb, start, solveDur, &res, len(obs), err)
+	}
 	if err != nil {
 		s.consecFail++
 		if !s.brkOpen && s.consecFail >= s.breakerK {
@@ -395,10 +420,13 @@ func (s *session) step(i int) {
 	} else {
 		s.setState(StateHealthy)
 	}
+	sp = tb.Start("dop/compute")
 	hdop, pdop, dopOK := 0.0, 0.0, false
 	if dop, derr := core.DOPFromObs(res.Solution.Pos, obs); derr == nil {
 		hdop, pdop, dopOK = dop.HDOP, dop.PDOP, true
 	}
+	sp.End()
+	sp = startIf(tb, s.qual != nil, "quality")
 	var fq core.FixQuality
 	var clockInnov float64
 	var clockOK bool
@@ -435,7 +463,11 @@ func (s *session) step(i int) {
 		}
 		s.observeQuality(sample)
 	}
+	sp.End()
+	sp = startIf(tb, s.jq != nil, "journal")
 	s.journalFix(i, ep.T, &res, &fq, pdop, hdop, dopOK, clockInnov, clockOK, satObs)
+	sp.End()
+	sp = tb.Start("nmea/encode")
 	fix := nmea.Fix{
 		TimeOfDay: ep.T,
 		Pos:       res.Solution.Pos.ToLLA(),
@@ -447,6 +479,7 @@ func (s *session) step(i int) {
 	ggaLen := len(buf)
 	buf = nmea.AppendRMC(buf, fix)
 	s.buf = buf
+	sp.End()
 	s.m.fixes.Inc()
 	s.emit(FixEvent{
 		Receiver: s.recv, Shard: s.shard, Epoch: i, T: ep.T,
@@ -480,6 +513,7 @@ func (s *session) coastOrFail(i int, t float64, sats int, fev []fault.Event, err
 	if bias, perr := s.pred.PredictBias(t); perr == nil {
 		sol.ClockBias = bias * geo.SpeedOfLight
 	}
+	sp := s.tb.Start("nmea/encode")
 	fix := nmea.Fix{
 		TimeOfDay: t,
 		Pos:       sol.Pos.ToLLA(),
@@ -490,8 +524,11 @@ func (s *session) coastOrFail(i int, t float64, sats int, fev []fault.Event, err
 	ggaLen := len(buf)
 	buf = nmea.AppendRMC(buf, fix)
 	s.buf = buf
+	sp.End()
 	s.m.coastFixes.Inc()
+	sp = startIf(s.tb, s.jq != nil, "journal")
 	s.journalCoast(i, sol)
+	sp.End()
 	s.emit(FixEvent{
 		Receiver: s.recv, Shard: s.shard, Epoch: i, T: t,
 		Sol: sol, Sats: sats, Coast: true,
@@ -519,9 +556,117 @@ func (s *session) closeBreaker() {
 	s.m.breakerOpenSessions.Dec()
 }
 
+// emit hands the epoch's event to the sink. Every step path ends in
+// exactly one emit, so a traced epoch's trace is finished here.
 func (s *session) emit(e FixEvent) {
+	if s.tb != nil {
+		s.emitTraced(e)
+		return
+	}
 	if s.sink != nil {
 		s.sink(e)
+	}
+}
+
+// startTrace opens epoch i's trace when this session samples it,
+// leaving it in s.tb for the stages and emit; nil otherwise.
+func (s *session) startTrace(i int) *trace.T {
+	if s.rec == nil || i%s.traceEvery != s.traceSlot {
+		return nil
+	}
+	s.tb = s.rec.StartEpoch(i, 0)
+	return s.tb
+}
+
+// startIf opens a span only when the layer it times is on, so a trace
+// names exactly the stages the epoch ran.
+func startIf(tb *trace.T, on bool, name string) *trace.Span {
+	if !on {
+		return nil
+	}
+	return tb.Start(name)
+}
+
+// solveSpanName is the span a solver's fix is recorded under:
+// "solve/" plus the lower-cased solver name ("solve/dlg-fast").
+func solveSpanName(solver string) string { return "solve/" + strings.ToLower(solver) }
+
+// traceSolve records the fallback-chain solve as a span of the winning
+// solver (the primary when the chain failed), reusing the duration the
+// step measured for engine_solve_seconds rather than reading the clock
+// again. RAIM's verdict rides along as attributes.
+func (s *session) traceSolve(tb *trace.T, start time.Time, dur time.Duration,
+	res *core.FallbackResult, sats int, err error) {
+	solver := res.Solver
+	attrs := []trace.Attr{trace.Int("sats", sats)}
+	if err != nil {
+		solver = s.chain.Solvers()[0].Name()
+		attrs = append(attrs, trace.String("err", err.Error()))
+	} else {
+		attrs = append(attrs,
+			trace.Int("iterations", res.Solution.Iterations),
+			trace.Float("clock_bias_m", res.Solution.ClockBias),
+			trace.Int("excluded", res.Excluded),
+			trace.Float("raim_stat", res.Stat))
+	}
+	tb.AddSpan(solveSpanName(solver), tb.Offset(start), dur, attrs...)
+}
+
+// emitTraced is emit for a traced epoch: the sink runs under the
+// broadcast span, then the trace is sealed and, for a solved fix,
+// offered to the exemplar tail.
+func (s *session) emitTraced(e FixEvent) {
+	tb := s.tb
+	s.tb = nil
+	sp := tb.Start("broadcast")
+	if s.sink != nil {
+		s.sink(e)
+	}
+	sp.End()
+	tb.SetT(e.T)
+	tb.SetErr(e.Err)
+	tr := tb.Finish()
+	if e.Err == nil && !e.Coast {
+		s.captureExemplar(tr, &e)
+	}
+}
+
+// captureExemplar files a traced fix whose solve latency or distance
+// from the station crosses the recorder's thresholds as a replayable
+// exemplar (gpsrun -replay). The clock bias is read back before the next
+// epoch's feed, so it is exactly the value the direct solvers
+// subtracted; the observations are the set the winning solver used,
+// RAIM's exclusion removed.
+func (s *session) captureExemplar(tr *trace.Trace, e *FixEvent) {
+	var solve time.Duration
+	if sp := tr.Span(solveSpanName(e.Solver)); sp != nil {
+		solve = time.Duration(sp.DurNs)
+	}
+	st := s.gen.Station()
+	residual := e.Sol.Pos.DistanceTo(st.Pos)
+	reason := s.rec.ExemplarReason(solve, residual)
+	if reason == "" {
+		return
+	}
+	bias, err := s.pred.PredictBias(e.T)
+	if err != nil {
+		bias = 0
+	}
+	obs := append([]core.Observation(nil), s.obs...)
+	if e.Excluded >= 0 {
+		obs = append(obs[:e.Excluded], obs[e.Excluded+1:]...)
+	}
+	ex, err := eval.CaptureExemplar(reason, tr, solve, residual, &eval.ReplayInput{
+		Station:    st,
+		EpochIndex: e.Epoch,
+		T:          e.T,
+		Obs:        obs,
+		Solver:     e.Solver,
+		ClockBias:  bias,
+		Solution:   e.Sol.Pos,
+	})
+	if err == nil {
+		s.rec.AddExemplar(ex)
 	}
 }
 

@@ -11,18 +11,16 @@
 // pointer test (never a clock read), so the solve hot paths are
 // unchanged when no Recorder is configured.
 //
-// Usage mirrors the context-based tracers production services use:
+// Usage:
 //
 //	t := recorder.StartEpoch(i, epoch.T)     // nil recorder → nil t
-//	ctx = trace.With(ctx, t)
-//	sp := trace.Start(ctx, "solve/dlg", trace.Int("sats", len(obs)))
+//	sp := t.Start("solve/dlg")
 //	... solve ...
 //	sp.End()
 //	t.Finish()                                // pushes into the ring
 package trace
 
 import (
-	"context"
 	"sync"
 	"time"
 )
@@ -120,6 +118,15 @@ func (t *T) AddSpan(name string, start, dur time.Duration, attrs ...Attr) {
 	t.mu.Unlock()
 }
 
+// Offset converts a wall-clock instant into an offset from the trace
+// start, for AddSpan callers that timed a stage themselves. Nil-safe.
+func (t *T) Offset(at time.Time) time.Duration {
+	if t == nil {
+		return 0
+	}
+	return at.Sub(t.tr.Start)
+}
+
 // SetT records the epoch's receiver timestamp — used when the trace
 // must start before the epoch itself is generated (the generation is
 // the first traced stage).
@@ -183,29 +190,4 @@ func (s *Span) End() {
 		Attrs:   s.attrs,
 	})
 	s.t.mu.Unlock()
-}
-
-// ctxKey keys the active trace in a context.
-type ctxKey struct{}
-
-// With returns a context carrying the active trace. A nil *T returns
-// ctx unchanged, so disabled tracing adds no context allocation.
-func With(ctx context.Context, t *T) context.Context {
-	if t == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, t)
-}
-
-// From extracts the active trace from ctx (nil when none).
-func From(ctx context.Context) *T {
-	t, _ := ctx.Value(ctxKey{}).(*T)
-	return t
-}
-
-// Start opens a span on the context's active trace — the one-line form
-// pipeline stages use: trace.Start(ctx, "solve/dlg"). Returns nil (all
-// methods no-op) when the context carries no trace.
-func Start(ctx context.Context, name string, attrs ...Attr) *Span {
-	return From(ctx).Start(name, attrs...)
 }

@@ -1,14 +1,13 @@
 package trace
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
 )
 
 // A nil recorder must make the entire instrumentation chain no-op
-// without panicking: nil *T, nil *Span, context passthrough.
+// without panicking: nil *T, nil *Span.
 func TestNilSafety(t *testing.T) {
 	var rec *Recorder
 	tr := rec.StartEpoch(3, 1.5)
@@ -23,11 +22,9 @@ func TestNilSafety(t *testing.T) {
 	if got := tr.Finish(); got != nil {
 		t.Fatalf("nil T Finish = %v, want nil", got)
 	}
-	ctx := context.Background()
-	if got := With(ctx, nil); got != ctx {
-		t.Error("With(ctx, nil) must return ctx unchanged")
+	if got := tr.Offset(time.Now()); got != 0 {
+		t.Errorf("nil T Offset = %v, want 0", got)
 	}
-	Start(ctx, "solve/nr").End() // no trace in ctx: must not panic
 	if rec.ExemplarReason(time.Second, 1e9) != "" {
 		t.Error("nil recorder must never classify exemplars")
 	}
@@ -39,13 +36,15 @@ func TestNilSafety(t *testing.T) {
 func TestSpanLifecycle(t *testing.T) {
 	rec := New(Config{Capacity: 8})
 	tr := rec.StartEpoch(7, 42.5)
-	ctx := With(context.Background(), tr)
 
-	sp := Start(ctx, "solve/dlg", Int("sats", 8))
+	sp := tr.Start("solve/dlg", Int("sats", 8))
 	time.Sleep(time.Millisecond)
 	sp.SetAttr(Int("iterations", 1))
 	sp.End()
 	tr.AddSpan("nmea/encode", 2*time.Millisecond, 50*time.Microsecond, String("kind", "gga"))
+	if off := tr.Offset(time.Now()); off < time.Millisecond {
+		t.Errorf("Offset(now) = %v, want >= the 1ms the span slept", off)
+	}
 	got := tr.Finish()
 
 	if got.Epoch != 7 || got.T != 42.5 {
@@ -176,10 +175,10 @@ func TestConcurrentRecorder(t *testing.T) {
 // — the tracing analogue of the telemetry nil-instrument guarantee.
 func BenchmarkSpanDisabled(b *testing.B) {
 	var rec *Recorder
-	ctx := With(context.Background(), rec.StartEpoch(0, 0))
+	tr := rec.StartEpoch(0, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := Start(ctx, "solve/dlg")
+		sp := tr.Start("solve/dlg")
 		sp.End()
 	}
 }

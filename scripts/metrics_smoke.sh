@@ -1,7 +1,7 @@
 #!/bin/bash
 # Smoke test for the gpsserve admin endpoint, in two phases:
-#   1. single-receiver stream mode: scrape /metrics and /healthz and
-#      assert the key solver metric families are exposed
+#   1. single-receiver serving: scrape /metrics and /healthz and
+#      assert the key solver, clock and serving metric families are exposed
 #   2. engine mode with -journal and -incident-dir: assert the flight
 #      journal and incident counters are exported
 # Exits non-zero on any miss.
@@ -40,7 +40,7 @@ wait_admin() {
 
 status=0
 
-# Phase 1: single-receiver stream mode.
+# Phase 1: single-receiver serving.
 "$bin" -station YYR1 -rate 10 -addr 127.0.0.1:0 -admin 127.0.0.1:0 >"$log" 2>&1 &
 pid=$!
 addr=$(wait_admin)
@@ -48,7 +48,7 @@ addr=$(wait_admin)
 metrics=$(curl -fsS "http://$addr/metrics")
 health=$(curl -sS "http://$addr/healthz")
 
-for name in gps_solve_seconds gps_solve_failures_total gps_nr_iterations_total \
+for name in engine_solve_seconds engine_solve_failures_total \
     gps_clock_resets_total gpsserve_clients gpsserve_epochs_total; do
     if ! printf '%s\n' "$metrics" | grep -q "$name"; then
         echo "FAIL: /metrics missing $name"

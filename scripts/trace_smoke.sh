@@ -1,9 +1,11 @@
 #!/bin/bash
 # Smoke test for the gpsserve flight recorder: start the server with
 # tracing and a 1 ns exemplar threshold, scrape /debug/trace (expecting
-# the pipeline span names), /debug/trace/chrome (expecting a loadable
-# trace_event document), and /debug/trace/exemplars, then replay the
-# captured exemplars through gpsrun -replay. Exits non-zero on any miss.
+# the pipeline span names; the solve span is named after the configured
+# solver, DLG in its default fast variant), /debug/trace/chrome
+# (expecting a loadable trace_event document), and
+# /debug/trace/exemplars, then replay the captured exemplars through
+# gpsrun -replay. Exits non-zero on any miss.
 set -euo pipefail
 
 GO=${GO:-go}
@@ -40,18 +42,19 @@ if [ -z "$addr" ]; then
     exit 1
 fi
 
-# Let the stream produce fixes (DLG needs predictor warm-up first).
+# Let the stream produce DLG fixes (DLG needs predictor warm-up first;
+# until then the fallback chain's NR fixes carry the nmea/encode span).
 traces=""
 for _ in $(seq 1 50); do
     traces=$(curl -fsS "http://$addr/debug/trace")
     case $traces in
-    *'"nmea/encode"'*) break ;;
+    *'"solve/dlg-fast"'*) break ;;
     esac
     sleep 0.1
 done
 
 status=0
-for span in epoch/generate clock/predict solve/dlg dop/compute nmea/encode broadcast; do
+for span in epoch/generate clock/predict solve/dlg-fast dop/compute nmea/encode broadcast; do
     case $traces in
     *"\"$span\""*) ;;
     *)
