@@ -84,8 +84,9 @@ fault-determinism:
 	$(GO) test -run Determinism ./internal/fault/ ./internal/engine/
 
 # Short native-fuzzing pass over every parser facing external input
-# (RINEX obs/nav, YUMA almanacs, NMEA sentences, the wire protocol's
-# subscribe/resume/fix decoders). Each target gets
+# (RINEX obs/nav, YUMA almanacs, NMEA sentences, the journal and wire
+# frame envelope, the wire protocol's subscribe/resume/fix decoders, the
+# checkpoint body a node adopts on handoff). Each target gets
 # FUZZTIME; seed corpora and past crashers live under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadObs -fuzztime=$(FUZZTIME) ./internal/rinex/
@@ -94,11 +95,13 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzValidate -fuzztime=$(FUZZTIME) ./internal/nmea/
 	$(GO) test -fuzz=FuzzParseGGA -fuzztime=$(FUZZTIME) ./internal/nmea/
 	$(GO) test -fuzz=FuzzFrameReader -fuzztime=$(FUZZTIME) ./internal/journal/
+	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/frame/
 	$(GO) test -fuzz=FuzzRankOneApplyInv -fuzztime=$(FUZZTIME) ./internal/lsq/
 	$(GO) test -fuzz=FuzzDecodeSubscribe -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeResume -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzPeekFix -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzFixDecoderChain -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz=FuzzAdoptCheckpoint -fuzztime=$(FUZZTIME) ./internal/engine/
 
 # Regenerate every table and figure of the paper at full 24 h × 1 Hz
 # scale (a few minutes), plus the ablations.

@@ -59,8 +59,10 @@ func (e *Engine) SnapshotFinal() *checkpoint.State {
 // paper prices as the expensive recalibration case), last good fix, and
 // health state. RunPaced resumes at the checkpoint epoch; batch mode
 // should use RunRange(ctx, st.Epoch, end). It returns the number of
-// sessions restored. A configuration mismatch returns an error and
-// leaves the engine untouched — callers fall back to a cold start.
+// sessions restored. A configuration mismatch or an inconsistent
+// checkpoint (an epoch outside [0, st.Epoch], two records for one
+// hosted session) returns an error and leaves the engine untouched —
+// callers fall back to a cold start.
 func (e *Engine) Restore(st *checkpoint.State) (int, error) {
 	if st.Solver != e.cfg.Solver || st.Seed != e.cfg.Seed ||
 		st.Step != e.cfg.Step || st.Receivers != e.cfg.Receivers {
@@ -68,9 +70,23 @@ func (e *Engine) Restore(st *checkpoint.State) (int, error) {
 			st.Solver, st.Seed, st.Step, st.Receivers,
 			e.cfg.Solver, e.cfg.Seed, e.cfg.Step, e.cfg.Receivers)
 	}
+	if st.Epoch < 0 {
+		return 0, fmt.Errorf("engine: checkpoint epoch %d is negative", st.Epoch)
+	}
 	byID := make(map[int]*session, len(e.sessions))
 	for _, s := range e.sessions {
 		byID[s.recv] = s
+	}
+	seen := make(map[int]bool, len(st.Sessions))
+	for i := range st.Sessions {
+		cs := &st.Sessions[i]
+		if cs.Epoch < 0 || cs.Epoch > st.Epoch {
+			return 0, fmt.Errorf("engine: receiver %d checkpoint epoch %d outside [0, %d]", cs.Receiver, cs.Epoch, st.Epoch)
+		}
+		if _, ok := byID[cs.Receiver]; ok && seen[cs.Receiver] {
+			return 0, fmt.Errorf("engine: checkpoint holds two records for receiver %d", cs.Receiver)
+		}
+		seen[cs.Receiver] = true
 	}
 	restored := 0
 	for i := range st.Sessions {

@@ -1,6 +1,10 @@
 package journal
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"gpsdl/internal/frame"
+)
 
 // Encoder builds one FrameRecords payload. Each engine shard owns one
 // Encoder and appends records while stepping a batch; the accumulated
@@ -58,20 +62,20 @@ func (e *Encoder) Add(r *Record) {
 	b = binary.AppendUvarint(b, uint64(r.Flags))
 	b = append(b, r.State, r.Chain, r.Solver)
 	if r.Flags&FlagFix != 0 {
-		b = appendFloat(b, r.Pos.X)
-		b = appendFloat(b, r.Pos.Y)
-		b = appendFloat(b, r.Pos.Z)
-		b = appendFloat(b, r.ClockBias)
+		b = frame.AppendFloat64(b, r.Pos.X)
+		b = frame.AppendFloat64(b, r.Pos.Y)
+		b = frame.AppendFloat64(b, r.Pos.Z)
+		b = frame.AppendFloat64(b, r.ClockBias)
 	}
 	if r.Flags&FlagRMS != 0 {
-		b = binary.AppendUvarint(b, quant(r.RMS))
+		b = appendQuant(b, r.RMS)
 	}
 	if r.Flags&FlagDOP != 0 {
-		b = binary.AppendUvarint(b, quant(r.PDOP))
-		b = binary.AppendUvarint(b, quant(r.HDOP))
+		b = appendQuant(b, r.PDOP)
+		b = appendQuant(b, r.HDOP)
 	}
 	if r.Flags&FlagClock != 0 {
-		b = binary.AppendUvarint(b, zigzag(quantSigned(r.ClockInnov)))
+		b = frame.AppendVarint(b, frame.Quant(r.ClockInnov))
 	}
 	if r.Flags&FlagExcluded != 0 {
 		b = binary.AppendUvarint(b, uint64(r.ExcludedPRN))
@@ -79,22 +83,28 @@ func (e *Encoder) Add(r *Record) {
 	b = binary.AppendUvarint(b, uint64(len(r.Residuals)))
 	for i := range r.Residuals {
 		b = binary.AppendUvarint(b, uint64(r.Residuals[i].PRN))
-		b = binary.AppendUvarint(b, zigzag(quantSigned(r.Residuals[i].Meters)))
+		b = frame.AppendVarint(b, frame.Quant(r.Residuals[i].Meters))
 	}
 	if r.Flags&FlagObs != 0 {
-		b = appendFloat(b, r.PredBias)
+		b = frame.AppendFloat64(b, r.PredBias)
 		b = binary.AppendUvarint(b, uint64(len(r.Obs)))
 		for i := range r.Obs {
 			o := &r.Obs[i]
 			b = binary.AppendUvarint(b, uint64(o.PRN))
-			b = appendFloat(b, o.Pos.X)
-			b = appendFloat(b, o.Pos.Y)
-			b = appendFloat(b, o.Pos.Z)
-			b = appendFloat(b, o.Pseudorange)
-			b = appendFloat(b, o.Elevation)
+			b = frame.AppendFloat64(b, o.Pos.X)
+			b = frame.AppendFloat64(b, o.Pos.Y)
+			b = frame.AppendFloat64(b, o.Pos.Z)
+			b = frame.AppendFloat64(b, o.Pseudorange)
+			b = frame.AppendFloat64(b, o.Elevation)
 		}
 	}
 	e.buf = b
+}
+
+// appendQuant appends a non-negative scalar (RMS, DOP) as millimetre
+// fixed point; negative values clamp to 0.
+func appendQuant(b []byte, v float64) []byte {
+	return binary.AppendUvarint(b, uint64(max(0, frame.Quant(v))))
 }
 
 // Count is the number of records accumulated since Begin.

@@ -7,9 +7,11 @@
 //
 // # File layout
 //
-//	file   := header frame*
-//	header := magic "GPSJ" | version u8 | metaLen uvarint | metaJSON | crc32(metaJSON) u32le
-//	frame  := marker 0xA7 | payloadLen uvarint | payload | crc32(payload) u32le
+//	file   := magic "GPSJ" | header frame | frame*
+//
+// Frames use the internal/frame envelope with payloads of at most
+// 64 MiB. The header frame's marker is the version byte and its payload
+// the Meta JSON; every later frame's marker is 0xA7.
 //
 // The first payload byte is the frame kind: FrameRecords carries a
 // delta/varint-encoded batch of Records from one shard; FrameSync is a
@@ -27,12 +29,7 @@
 // incident fixes replay bit-for-bit through eval.ReplayInput.
 package journal
 
-import (
-	"encoding/binary"
-	"math"
-
-	"gpsdl/internal/geo"
-)
+import "gpsdl/internal/geo"
 
 // Format constants. Version bumps whenever the frame or record
 // encoding changes incompatibly.
@@ -186,47 +183,3 @@ func itoa(v int) string {
 	}
 	return string(b[i:])
 }
-
-// Quantization helpers. Scalars are stored as millimetre (or 1/1000
-// unit) fixed point; quantize saturates at ±1e12 mm and maps
-// non-finite values to the saturation bound so corrupt inputs cannot
-// produce unbounded varints.
-const quantMax = 1 << 40 // ~1.1e12 mm ≈ 1.1e9 m, beyond any GPS quantity
-
-func quant(v float64) uint64 {
-	if math.IsNaN(v) || v <= 0 {
-		return 0
-	}
-	q := math.Round(v * 1000)
-	if q > quantMax {
-		return quantMax
-	}
-	return uint64(q)
-}
-
-func unquant(q uint64) float64 { return float64(q) / 1000 }
-
-func quantSigned(v float64) int64 {
-	if math.IsNaN(v) {
-		return 0
-	}
-	q := math.Round(v * 1000)
-	if q > quantMax {
-		return quantMax
-	}
-	if q < -quantMax {
-		return -quantMax
-	}
-	return int64(q)
-}
-
-func unquantSigned(q int64) float64 { return float64(q) / 1000 }
-
-func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func appendFloat(dst []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
-func mathFloat(bits uint64) float64 { return math.Float64frombits(bits) }

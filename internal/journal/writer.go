@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"io"
 	"sync"
 	"time"
 
+	"gpsdl/internal/frame"
 	"gpsdl/internal/telemetry"
 )
 
@@ -95,12 +95,7 @@ func NewWriter(w io.Writer, meta Meta, opt Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, 0, len(mj)+16)
-	hdr = append(hdr, magic[:]...)
-	hdr = append(hdr, Version)
-	hdr = binary.AppendUvarint(hdr, uint64(len(mj)))
-	hdr = append(hdr, mj...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(mj))
+	hdr := frame.Append(magic[:], Version, mj)
 	if _, err := w.Write(hdr); err != nil {
 		return nil, err
 	}
@@ -246,11 +241,7 @@ func (w *Writer) syncLocked(flush bool) error {
 }
 
 func (w *Writer) writeFrameLocked(payload []byte) error {
-	b := w.scratch[:0]
-	b = append(b, FrameMarker)
-	b = binary.AppendUvarint(b, uint64(len(payload)))
-	b = append(b, payload...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	b := frame.Append(w.scratch[:0], FrameMarker, payload)
 	w.scratch = b
 	if _, err := w.w.Write(b); err != nil {
 		return err

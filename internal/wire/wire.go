@@ -8,12 +8,11 @@
 //
 // # Frame envelope
 //
-//	frame := marker 0xB5 | payloadLen uvarint | payload | crc32(payload) u32le
-//
-// The first payload byte is the frame kind. Every frame is
-// independently checksummed, so a torn TCP stream or a flipped byte
-// fails loudly at the reader instead of decoding into plausible
-// garbage positions.
+// Frames use the internal/frame envelope under marker 0xB5 with
+// payloads of at most 64 KiB. The first payload byte is the frame kind.
+// Every frame is independently checksummed, so a torn TCP stream or a
+// flipped byte fails loudly at the reader instead of decoding into
+// plausible garbage positions.
 //
 // # Frames
 //
@@ -50,13 +49,12 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
+
+	"gpsdl/internal/frame"
 )
 
 // Protocol constants. Version bumps whenever the frame or field
@@ -198,36 +196,13 @@ func (f *Fix) flags() byte {
 	return fl
 }
 
-// Quantization: millimetre fixed point, saturating like the flight
-// journal's, so non-finite or absurd inputs cannot produce unbounded
-// varints.
-const quantMax = 1 << 40
+// AppendFrame wraps payload in the wire frame envelope and appends it.
+func AppendFrame(dst, payload []byte) []byte { return frame.Append(dst, FrameMarker, payload) }
 
-func quant(v float64) int64 {
-	if math.IsNaN(v) {
-		return 0
-	}
-	q := math.Round(v * 1000)
-	if q > quantMax {
-		return quantMax
-	}
-	if q < -quantMax {
-		return -quantMax
-	}
-	return int64(q)
-}
-
-func unquant(q int64) float64 { return float64(q) / 1000 }
-
-func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// AppendFrame wraps payload in the frame envelope and appends it.
-func AppendFrame(dst, payload []byte) []byte {
-	dst = append(dst, FrameMarker)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+// NewFrameReader reads wire frames from r. The payload Next returns is
+// valid until the following call.
+func NewFrameReader(r io.Reader) *frame.Reader {
+	return frame.NewReader(r, FrameMarker, MaxFramePayload)
 }
 
 // AppendSubscribe appends a SUBSCRIBE frame for token (session, ack).
@@ -235,7 +210,7 @@ func AppendSubscribe(dst []byte, session int, ack int64) []byte {
 	p := make([]byte, 0, 16)
 	p = append(p, KindSubscribe, Version)
 	p = binary.AppendUvarint(p, uint64(session))
-	p = binary.AppendUvarint(p, zigzag(ack))
+	p = frame.AppendVarint(p, ack)
 	return AppendFrame(dst, p)
 }
 
@@ -246,54 +221,21 @@ func AppendResume(dst []byte, r Resume) []byte {
 	p = binary.AppendUvarint(p, uint64(r.Session))
 	p = append(p, r.Status)
 	p = binary.AppendUvarint(p, r.Resume)
-	p = binary.AppendUvarint(p, zigzag(r.Head))
+	p = frame.AppendVarint(p, r.Head)
 	return AppendFrame(dst, p)
-}
-
-// errTruncated reports a payload shorter than its fields claim.
-var errTruncated = errors.New("wire: truncated payload")
-
-// payloadReader walks a frame payload.
-type payloadReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *payloadReader) byte() byte {
-	if r.err != nil || r.off >= len(r.b) {
-		r.err = errTruncated
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *payloadReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.err = errTruncated
-		return 0
-	}
-	r.off += n
-	return v
 }
 
 // DecodeSubscribe parses a SUBSCRIBE payload (kind byte included).
 func DecodeSubscribe(p []byte) (Subscribe, error) {
-	r := payloadReader{b: p}
-	if k := r.byte(); k != KindSubscribe {
+	r := frame.NewDecoder(p)
+	if k := r.Byte(); k != KindSubscribe {
 		return Subscribe{}, fmt.Errorf("wire: subscribe: kind %d", k)
 	}
-	s := Subscribe{Version: int(r.byte())}
-	s.Session = int(r.uvarint())
-	s.Ack = unzigzag(r.uvarint())
-	if r.err != nil {
-		return Subscribe{}, fmt.Errorf("wire: subscribe: %w", r.err)
+	s := Subscribe{Version: int(r.Byte())}
+	s.Session = int(r.Uvarint())
+	s.Ack = r.Varint()
+	if r.Err() != nil {
+		return Subscribe{}, fmt.Errorf("wire: subscribe: %w", r.Err())
 	}
 	if s.Version != Version {
 		return Subscribe{}, fmt.Errorf("wire: subscribe: unsupported protocol version %d", s.Version)
@@ -303,17 +245,17 @@ func DecodeSubscribe(p []byte) (Subscribe, error) {
 
 // DecodeResume parses a RESUME payload (kind byte included).
 func DecodeResume(p []byte) (Resume, error) {
-	r := payloadReader{b: p}
-	if k := r.byte(); k != KindResume {
+	r := frame.NewDecoder(p)
+	if k := r.Byte(); k != KindResume {
 		return Resume{}, fmt.Errorf("wire: resume: kind %d", k)
 	}
 	var res Resume
-	res.Session = int(r.uvarint())
-	res.Status = r.byte()
-	res.Resume = r.uvarint()
-	res.Head = unzigzag(r.uvarint())
-	if r.err != nil {
-		return Resume{}, fmt.Errorf("wire: resume: %w", r.err)
+	res.Session = int(r.Uvarint())
+	res.Status = r.Byte()
+	res.Resume = r.Uvarint()
+	res.Head = r.Varint()
+	if r.Err() != nil {
+		return Resume{}, fmt.Errorf("wire: resume: %w", r.Err())
 	}
 	return res, nil
 }
@@ -322,15 +264,15 @@ func DecodeResume(p []byte) (Resume, error) {
 // without delta state — what a relay needs to route and deduplicate
 // frames it cannot (and must not) decode.
 func PeekFix(p []byte) (session int, epoch uint64, keyframe bool, err error) {
-	r := payloadReader{b: p}
-	if k := r.byte(); k != KindFix {
+	r := frame.NewDecoder(p)
+	if k := r.Byte(); k != KindFix {
 		return 0, 0, false, fmt.Errorf("wire: fix: kind %d", k)
 	}
-	session = int(r.uvarint())
-	epoch = r.uvarint()
-	flags := r.byte()
-	if r.err != nil {
-		return 0, 0, false, fmt.Errorf("wire: fix: %w", r.err)
+	session = int(r.Uvarint())
+	epoch = r.Uvarint()
+	flags := r.Byte()
+	if r.Err() != nil {
+		return 0, 0, false, fmt.Errorf("wire: fix: %w", r.Err())
 	}
 	return session, epoch, flags&FixKeyframe != 0, nil
 }
@@ -368,8 +310,8 @@ func (e *FixEncoder) AppendFix(dst []byte, f *Fix) ([]byte, bool) {
 		p = binary.AppendUvarint(p, uint64(f.Sats))
 		return AppendFrame(dst, p), false
 	}
-	q := [4]int64{quant(f.X), quant(f.Y), quant(f.Z), quant(f.ClockBias)}
-	qh := quant(f.HDOP)
+	q := [4]int64{frame.Quant(f.X), frame.Quant(f.Y), frame.Quant(f.Z), frame.Quant(f.ClockBias)}
+	qh := frame.Quant(f.HDOP)
 	key := !e.havePrev || f.Epoch/uint64(every) != e.prevEpoch/uint64(every)
 	if key {
 		flags |= FixKeyframe
@@ -378,14 +320,14 @@ func (e *FixEncoder) AppendFix(dst []byte, f *Fix) ([]byte, bool) {
 	p = binary.AppendUvarint(p, uint64(f.Sats))
 	if key {
 		for _, v := range q {
-			p = binary.AppendUvarint(p, zigzag(v))
+			p = frame.AppendVarint(p, v)
 		}
-		p = binary.AppendUvarint(p, zigzag(qh))
+		p = frame.AppendVarint(p, qh)
 	} else {
 		for i, v := range q {
-			p = binary.AppendUvarint(p, zigzag(v-e.prev[i]))
+			p = frame.AppendVarint(p, v-e.prev[i])
 		}
-		p = binary.AppendUvarint(p, zigzag(qh-e.prevHDOP))
+		p = frame.AppendVarint(p, qh-e.prevHDOP)
 	}
 	e.prev, e.prevHDOP, e.havePrev, e.prevEpoch = q, qh, true, f.Epoch
 	return AppendFrame(dst, p), key
@@ -408,24 +350,24 @@ var ErrDeltaWithoutKeyframe = errors.New("wire: delta fix before any keyframe")
 // DecodeFix parses a FIX payload (kind byte included) and updates the
 // delta chain.
 func (d *FixDecoder) DecodeFix(p []byte) (Fix, error) {
-	r := payloadReader{b: p}
-	if k := r.byte(); k != KindFix {
+	r := frame.NewDecoder(p)
+	if k := r.Byte(); k != KindFix {
 		return Fix{}, fmt.Errorf("wire: fix: kind %d", k)
 	}
 	var f Fix
-	f.Session = int(r.uvarint())
-	f.Epoch = r.uvarint()
-	flags := r.byte()
-	f.State = r.byte()
-	f.Solver = r.byte()
-	f.Sats = int(r.uvarint())
+	f.Session = int(r.Uvarint())
+	f.Epoch = r.Uvarint()
+	flags := r.Byte()
+	f.State = r.Byte()
+	f.Solver = r.Byte()
+	f.Sats = int(r.Uvarint())
 	f.Miss = flags&FixMiss != 0
 	f.Coast = flags&FixCoast != 0
 	f.Suspect = flags&FixSuspect != 0
 	f.Degraded = flags&FixDegraded != 0
 	if f.Miss {
-		if r.err != nil {
-			return Fix{}, fmt.Errorf("wire: fix: %w", r.err)
+		if r.Err() != nil {
+			return Fix{}, fmt.Errorf("wire: fix: %w", r.Err())
 		}
 		return f, nil
 	}
@@ -433,75 +375,26 @@ func (d *FixDecoder) DecodeFix(p []byte) (Fix, error) {
 	var qh int64
 	if flags&FixKeyframe != 0 {
 		for i := range q {
-			q[i] = unzigzag(r.uvarint())
+			q[i] = r.Varint()
 		}
-		qh = unzigzag(r.uvarint())
+		qh = r.Varint()
 	} else {
 		if !d.havePrev {
 			return Fix{}, ErrDeltaWithoutKeyframe
 		}
 		for i := range q {
-			q[i] = d.prev[i] + unzigzag(r.uvarint())
+			q[i] = d.prev[i] + r.Varint()
 		}
-		qh = d.prevHDOP + unzigzag(r.uvarint())
+		qh = d.prevHDOP + r.Varint()
 	}
-	if r.err != nil {
-		return Fix{}, fmt.Errorf("wire: fix: %w", r.err)
+	if r.Err() != nil {
+		return Fix{}, fmt.Errorf("wire: fix: %w", r.Err())
 	}
 	d.prev, d.prevHDOP, d.havePrev = q, qh, true
-	f.X, f.Y, f.Z = unquant(q[0]), unquant(q[1]), unquant(q[2])
-	f.ClockBias = unquant(q[3])
-	f.HDOP = unquant(qh)
+	f.X, f.Y, f.Z = frame.Unquant(q[0]), frame.Unquant(q[1]), frame.Unquant(q[2])
+	f.ClockBias = frame.Unquant(q[3])
+	f.HDOP = frame.Unquant(qh)
 	return f, nil
-}
-
-// FrameReader reads framed payloads off a byte stream, verifying the
-// envelope CRC. The returned payload is valid until the next call.
-type FrameReader struct {
-	br  *bufio.Reader
-	buf []byte
-}
-
-// NewFrameReader wraps r (buffered internally).
-func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, 4096)}
-}
-
-// ErrBadFrame reports an envelope violation: bad marker, oversized
-// length prefix, or CRC mismatch. A stream that produced it cannot be
-// resynchronized and should be closed.
-var ErrBadFrame = errors.New("wire: bad frame")
-
-// Next returns the next frame's payload.
-func (fr *FrameReader) Next() ([]byte, error) {
-	m, err := fr.br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if m != FrameMarker {
-		return nil, fmt.Errorf("%w: marker %#x", ErrBadFrame, m)
-	}
-	n, err := binary.ReadUvarint(fr.br)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || n > MaxFramePayload {
-		return nil, fmt.Errorf("%w: payload length %d", ErrBadFrame, n)
-	}
-	need := int(n) + 4
-	if cap(fr.buf) < need {
-		fr.buf = make([]byte, need)
-	}
-	buf := fr.buf[:need]
-	if _, err := io.ReadFull(fr.br, buf); err != nil {
-		return nil, err
-	}
-	payload := buf[:n]
-	want := binary.LittleEndian.Uint32(buf[n:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("%w: crc %08x, frame says %08x", ErrBadFrame, got, want)
-	}
-	return payload, nil
 }
 
 // Kind returns a payload's frame kind (0 when empty).

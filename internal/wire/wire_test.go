@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"testing"
 
+	"gpsdl/internal/frame"
 	"gpsdl/internal/rng"
 )
 
@@ -31,11 +33,11 @@ func synthFix(s int, e uint64) Fix {
 }
 
 func quantized(f Fix) Fix {
-	f.X = unquant(quant(f.X))
-	f.Y = unquant(quant(f.Y))
-	f.Z = unquant(quant(f.Z))
-	f.ClockBias = unquant(quant(f.ClockBias))
-	f.HDOP = unquant(quant(f.HDOP))
+	f.X = frame.Unquant(frame.Quant(f.X))
+	f.Y = frame.Unquant(frame.Quant(f.Y))
+	f.Z = frame.Unquant(frame.Quant(f.Z))
+	f.ClockBias = frame.Unquant(frame.Quant(f.ClockBias))
+	f.HDOP = frame.Unquant(frame.Quant(f.HDOP))
 	return f
 }
 
@@ -204,41 +206,54 @@ func TestSubscribeResumeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameCorruption: flipped bytes and truncations are detected, and
-// PeekFix agrees with the full decoder.
+// TestFrameCorruption: every flipped byte of a frame and every
+// truncation fails the frame reader, and PeekFix agrees with the full
+// decoder.
 func TestFrameCorruption(t *testing.T) {
 	var enc FixEncoder
 	f := synthFix(5, 64)
-	frame, _ := enc.AppendFix(nil, &f)
-	for i := range frame {
-		mut := append([]byte(nil), frame...)
+	fixFrame, _ := enc.AppendFix(nil, &f)
+	for i := range fixFrame {
+		mut := append([]byte(nil), fixFrame...)
 		mut[i] ^= 0x40
-		fr := NewFrameReader(bytes.NewReader(mut))
-		if p, err := fr.Next(); err == nil {
-			// A flip confined to the payload must fail CRC; a flip in
-			// the envelope may legally truncate the stream instead.
-			var dec FixDecoder
-			got, derr := dec.DecodeFix(p)
-			if derr == nil && got == quantized(f) {
-				t.Fatalf("flip at %d: frame decoded identically anyway", i)
-			}
+		if _, err := NewFrameReader(bytes.NewReader(mut)).Next(); err == nil {
+			t.Fatalf("flip at %d: frame accepted", i)
 		}
 	}
-	s, e, key, err := PeekFix(payloadOf(t, frame))
+	for n := 1; n < len(fixFrame); n++ {
+		if _, err := NewFrameReader(bytes.NewReader(fixFrame[:n])).Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("truncated to %d bytes: err = %v, want io.ErrUnexpectedEOF", n, err)
+		}
+	}
+	s, e, key, err := PeekFix(payloadOf(t, fixFrame))
 	if err != nil || s != 5 || e != 64 || !key {
 		t.Fatalf("PeekFix = (%d,%d,%v,%v)", s, e, key, err)
 	}
 }
 
-// TestQuantSaturation: non-finite and absurd values stay bounded.
+// TestQuantSaturation: non-finite and absurd values stay bounded
+// through an encode/decode round trip.
 func TestQuantSaturation(t *testing.T) {
+	const bound = float64(frame.QuantMax) / 1000
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300} {
-		q := quant(v)
-		if q > quantMax || q < -quantMax {
-			t.Fatalf("quant(%v) = %d out of range", v, q)
+		var enc FixEncoder
+		var dec FixDecoder
+		in := Fix{Session: 1, X: v, Y: v, Z: v, ClockBias: v, HDOP: v}
+		b, _ := enc.AppendFix(nil, &in)
+		got, err := dec.DecodeFix(payloadOf(t, b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []float64{got.X, got.Y, got.Z, got.ClockBias, got.HDOP} {
+			if math.IsNaN(q) || q > bound || q < -bound {
+				t.Fatalf("%v decoded to %v, outside ±%v", v, q, bound)
+			}
 		}
 	}
-	if quant(1.0005) != 1001 && quant(1.0005) != 1000 {
-		t.Fatalf("mm rounding broken: %d", quant(1.0005))
+	in := Fix{X: 1.0005}
+	b, _ := new(FixEncoder).AppendFix(nil, &in)
+	got, err := new(FixDecoder).DecodeFix(payloadOf(t, b))
+	if err != nil || (got.X != 1.001 && got.X != 1) {
+		t.Fatalf("mm rounding broken: %v, %v", got.X, err)
 	}
 }
