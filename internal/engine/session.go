@@ -421,8 +421,10 @@ func (s *session) step(i int) {
 		s.setState(StateHealthy)
 	}
 	sp = tb.Start("dop/compute")
+	// One geodetic conversion serves both the DOP frame and the NMEA fix.
+	lla := res.Solution.Pos.ToLLA()
 	hdop, pdop, dopOK := 0.0, 0.0, false
-	if dop, derr := core.DOPFromObs(res.Solution.Pos, obs); derr == nil {
+	if dop, derr := core.DOPFromObsLLA(res.Solution.Pos, lla, obs); derr == nil {
 		hdop, pdop, dopOK = dop.HDOP, dop.PDOP, true
 	}
 	sp.End()
@@ -470,7 +472,7 @@ func (s *session) step(i int) {
 	sp = tb.Start("nmea/encode")
 	fix := nmea.Fix{
 		TimeOfDay: ep.T,
-		Pos:       res.Solution.Pos.ToLLA(),
+		Pos:       lla,
 		Quality:   nmea.QualityGPS,
 		NumSats:   len(obs),
 		HDOP:      hdop,

@@ -112,12 +112,10 @@ func (p ECEF) ToLLA() LLA {
 	// Two refinement passes.
 	for iter := 0; iter < 2; iter++ {
 		sinL, cosL := math.Sincos(lat)
-		n := SemiMajorAxis / math.Sqrt(1-ecc2*sinL*sinL)
 		beta = math.Atan2((1-Flattening)*sinL, cosL)
 		sinB, cosB = math.Sincos(beta)
 		lat = math.Atan2(p.Z+eccPrime2*semiMinorAxis*sinB*sinB*sinB,
 			rho-ecc2*SemiMajorAxis*cosB*cosB*cosB)
-		_ = n
 	}
 	sinL, cosL := math.Sincos(lat)
 	n := SemiMajorAxis / math.Sqrt(1-ecc2*sinL*sinL)
