@@ -115,6 +115,10 @@ type Generator struct {
 	faults    []Fault
 	canyon    *UrbanCanyon
 	canyonLOS func(elev, azim float64) bool
+
+	// stationLLA is station.Pos.ToLLA(), converted once: the atmosphere
+	// residuals read its height and longitude for every observation.
+	stationLLA geo.LLA
 }
 
 // Option customizes a Generator.
@@ -245,11 +249,12 @@ func NewGenerator(station Station, cfg Config, opts ...Option) *Generator {
 		cfg.Step = 1
 	}
 	g := &Generator{
-		station: station,
-		cfg:     cfg,
-		cons:    orbit.DefaultConstellation(),
-		clk:     defaultClockModel(station, cfg.Seed),
-		posAt:   func(float64) geo.ECEF { return station.Pos },
+		station:    station,
+		stationLLA: station.Pos.ToLLA(),
+		cfg:        cfg,
+		cons:       orbit.DefaultConstellation(),
+		clk:        defaultClockModel(station, cfg.Seed),
+		posAt:      func(float64) geo.ECEF { return station.Pos },
 	}
 	for _, opt := range opts {
 		opt(g)
@@ -479,10 +484,9 @@ func (g *Generator) satelliteErrorParts(prn int, t, elev float64) (eps, iono, tr
 		pass := rng.New(obsSeed(g.cfg.Seed, prn, -1))
 		uIono := pass.Float64()*2 - 1
 		uTropo := pass.Float64()*2 - 1
-		localTime := localSolarTime(g.station.Pos, t)
-		alt := g.station.Pos.ToLLA().Alt
+		localTime := localSolarTime(g.stationLLA.Lon, t)
 		iono = atmosphere.ResidualIono(elev, localTime, g.cfg.IonoRemainder, uIono)
-		tropo = atmosphere.ResidualTropo(elev, alt, g.cfg.TropoRemainder, uTropo)
+		tropo = atmosphere.ResidualTropo(elev, g.stationLLA.Alt, g.cfg.TropoRemainder, uTropo)
 		eps += iono + tropo
 	}
 	return eps, iono, tropo, obs
@@ -571,11 +575,10 @@ func IonoFreeEpoch(e Epoch) Epoch {
 	return out
 }
 
-// localSolarTime approximates the local solar time (seconds of day) at the
-// station from its longitude, for the ionosphere's diurnal cycle.
-func localSolarTime(pos geo.ECEF, t float64) float64 {
-	lla := pos.ToLLA()
-	lt := math.Mod(t+lla.Lon/(2*math.Pi)*86400, 86400)
+// localSolarTime approximates the local solar time (seconds of day) at
+// longitude lon (radians), for the ionosphere's diurnal cycle.
+func localSolarTime(lon, t float64) float64 {
+	lt := math.Mod(t+lon/(2*math.Pi)*86400, 86400)
 	if lt < 0 {
 		lt += 86400
 	}
