@@ -143,10 +143,10 @@ func TestParseGGARejectsOtherSentences(t *testing.T) {
 }
 
 func TestTimeFieldWraps(t *testing.T) {
-	if got := timeField(86400 + 3600); !strings.HasPrefix(got, "01") {
-		t.Errorf("timeField did not wrap: %s", got)
+	if got := string(appendTimeField(nil, 86400+3600)); !strings.HasPrefix(got, "01") {
+		t.Errorf("time field did not wrap: %s", got)
 	}
-	if got := timeField(-3600); !strings.HasPrefix(got, "23") {
+	if got := string(appendTimeField(nil, -3600)); !strings.HasPrefix(got, "23") {
 		t.Errorf("negative time not wrapped: %s", got)
 	}
 }
