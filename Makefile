@@ -86,14 +86,16 @@ fault-determinism:
 # Short native-fuzzing pass over every parser facing external input
 # (RINEX obs/nav, YUMA almanacs, NMEA sentences, the journal and wire
 # frame envelope, the wire protocol's subscribe/resume/fix decoders, the
-# checkpoint body a node adopts on handoff). Each target gets
-# FUZZTIME; seed corpora and past crashers live under testdata/fuzz/.
+# checkpoint body a node adopts on handoff), plus the NMEA fixed-point
+# number formatter against strconv. Each target gets FUZZTIME; seed
+# corpora and past crashers live under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadObs -fuzztime=$(FUZZTIME) ./internal/rinex/
 	$(GO) test -fuzz=FuzzReadNav -fuzztime=$(FUZZTIME) ./internal/rinex/
 	$(GO) test -fuzz=FuzzReadYuma -fuzztime=$(FUZZTIME) ./internal/orbit/
 	$(GO) test -fuzz=FuzzValidate -fuzztime=$(FUZZTIME) ./internal/nmea/
 	$(GO) test -fuzz=FuzzParseGGA -fuzztime=$(FUZZTIME) ./internal/nmea/
+	$(GO) test -fuzz=FuzzAppendFixed -fuzztime=$(FUZZTIME) ./internal/nmea/
 	$(GO) test -fuzz=FuzzFrameReader -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/frame/
 	$(GO) test -fuzz=FuzzRankOneApplyInv -fuzztime=$(FUZZTIME) ./internal/lsq/
