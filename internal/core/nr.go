@@ -74,14 +74,6 @@ func (s *NRSolver) Solve(_ float64, obs []Observation) (Solution, error) {
 		eps = s.InitialGuess.ClockBias
 	}
 	m := len(obs)
-	var rows [][4]float64
-	var rhs []float64
-	if s.Scratch != nil {
-		rows, rhs = s.Scratch.nr(m)
-	} else {
-		rows = make([][4]float64, m)
-		rhs = make([]float64, m)
-	}
 	// Precompute sqrt-weights once: scaling each equation by √wᵢ makes
 	// the normal equations those of the weighted problem.
 	var sqw []float64
@@ -93,36 +85,68 @@ func (s *NRSolver) Solve(_ float64, obs []Observation) (Solution, error) {
 		}
 		for i, o := range obs {
 			w := s.Weight(o)
-			if w <= 0 || math.IsNaN(w) {
+			if !(w > 0) || !finite(w) {
 				return Solution{}, fmt.Errorf("NR weight %v for observation %d: %w", w, i, ErrBadObservation)
 			}
 			sqw[i] = math.Sqrt(w)
 		}
 	}
 	for iter := 1; iter <= maxIter; iter++ {
-		// Build the linearized system of eq. 3-26: for each satellite,
+		// Build the linearized system of eq. 3-26 — for each satellite,
 		// residual Pᵢ = ℜᵢ − ρᵉᵢ + εᴿ (eq. 3-24) and partials
-		// X'ᵢ = (xₑ−xᵢ)/ℜᵢ, …, E'ᵢ = 1 (eq. 3-20…3-23).
+		// X'ᵢ = (xₑ−xᵢ)/ℜᵢ, …, E'ᵢ = 1 (eq. 3-20…3-23) — and fold each
+		// row straight into the upper triangle of AᵀA and into Aᵀb.
+		// Every accumulator sums the same products in the same row order
+		// as mat.NormalEq4, zero partials skipped alike, so the normal
+		// equations are bit-identical to building the m×4 system first.
+		var n00, n01, n02, n03, n11, n12, n13, n22, n23, n33 float64
+		var b0, b1, b2, b3 float64
 		for i, o := range obs {
 			dx, dy, dz := x-o.Pos.X, y-o.Pos.Y, z-o.Pos.Z
 			r := math.Sqrt(dx*dx + dy*dy + dz*dz)
 			if r == 0 {
 				return Solution{}, fmt.Errorf("NR iterate coincides with satellite %d: %w", i, ErrDegenerateGeometry)
 			}
-			rows[i] = [4]float64{dx / r, dy / r, dz / r, 1}
-			rhs[i] = -(r - o.Pseudorange + eps) // −Pᵢ
+			a0, a1, a2, a3 := dx/r, dy/r, dz/r, 1.0
+			rb := -(r - o.Pseudorange + eps) // −Pᵢ
 			if sqw != nil {
 				w := sqw[i]
-				rows[i][0] *= w
-				rows[i][1] *= w
-				rows[i][2] *= w
-				rows[i][3] *= w
-				rhs[i] *= w
+				a0 *= w
+				a1 *= w
+				a2 *= w
+				a3 *= w
+				rb *= w
 			}
+			if a0 != 0 {
+				n00 += a0 * a0
+				n01 += a0 * a1
+				n02 += a0 * a2
+				n03 += a0 * a3
+				b0 += a0 * rb
+			}
+			if a1 != 0 {
+				n11 += a1 * a1
+				n12 += a1 * a2
+				n13 += a1 * a3
+				b1 += a1 * rb
+			}
+			if a2 != 0 {
+				n22 += a2 * a2
+				n23 += a2 * a3
+				b2 += a2 * rb
+			}
+			n33 += a3 * a3
+			b3 += a3 * rb
 		}
 		// Step 4: ordinary least squares on the (possibly over-
 		// determined) system via the 4×4 normal equations.
-		ata, atb := mat.NormalEq4(rows, rhs)
+		ata := [16]float64{
+			n00, n01, n02, n03,
+			n01, n11, n12, n13,
+			n02, n12, n22, n23,
+			n03, n13, n23, n33,
+		}
+		atb := [4]float64{b0, b1, b2, b3}
 		delta, err := mat.Solve4(ata, atb)
 		if err != nil {
 			return Solution{}, fmt.Errorf("NR normal equations: %w", ErrDegenerateGeometry)

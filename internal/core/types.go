@@ -97,6 +97,8 @@ func checkMinObs(name string, obs []Observation, minimum int) error {
 	return nil
 }
 
+// finite reports whether v is neither NaN nor ±Inf: NaN fails every
+// comparison and ±Inf exceeds the largest finite magnitude.
 func finite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
+	return math.Abs(v) <= math.MaxFloat64
 }

@@ -31,7 +31,7 @@ func Solve3(a [9]float64, b [3]float64) ([3]float64, error) {
 
 // Solve4 solves the 4×4 system a*x = b with a given row-major, using
 // Gaussian elimination with partial pivoting unrolled over fixed storage.
-// It returns ErrSingular when a pivot vanishes.
+// It returns ErrSingular when a pivot vanishes or is NaN.
 func Solve4(a [16]float64, b [4]float64) ([4]float64, error) {
 	// Augment in fixed storage.
 	var m [4][5]float64
@@ -50,7 +50,7 @@ func Solve4(a [16]float64, b [4]float64) ([4]float64, error) {
 				p = i
 			}
 		}
-		if maxAbs == 0 {
+		if maxAbs == 0 || math.IsNaN(maxAbs) {
 			return [4]float64{}, ErrSingular
 		}
 		if p != k {

@@ -68,6 +68,34 @@ func TestSolve4Singular(t *testing.T) {
 	}
 }
 
+// TestSolve4NaNPivot: a NaN pivot, given or produced by elimination, is
+// ErrSingular rather than a NaN solution with a nil error, as in Inv4.
+func TestSolve4NaNPivot(t *testing.T) {
+	nan := math.NaN()
+	for name, a := range map[string][16]float64{
+		"given": {
+			nan, 0, 0, 0,
+			0, 1, 0, 0,
+			0, 0, 1, 0,
+			0, 0, 0, 1,
+		},
+		"eliminated": {
+			1, nan, 0, 0,
+			1, 1, 0, 0,
+			0, 0, 1, 0,
+			0, 0, 0, 1,
+		},
+	} {
+		x, err := Solve4(a, [4]float64{1, 2, 3, 4})
+		if !errors.Is(err, ErrSingular) {
+			t.Errorf("%s: Solve4 = %v, %v; want ErrSingular", name, x, err)
+		}
+		if _, err := Inv4(a); !errors.Is(err, ErrSingular) {
+			t.Errorf("%s: Inv4 error = %v, want ErrSingular", name, err)
+		}
+	}
+}
+
 func TestSolve4Identity(t *testing.T) {
 	a := [16]float64{
 		1, 0, 0, 0,
