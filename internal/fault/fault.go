@@ -20,10 +20,10 @@ package fault
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"gpsdl/internal/core"
 	"gpsdl/internal/geo"
+	"gpsdl/internal/rng"
 	"gpsdl/internal/scenario"
 )
 
@@ -349,11 +349,11 @@ const jamStreamTag = 0x5A4D5EED
 // gauss returns a standard normal draw that is a pure function of
 // (seed, prn, t) — the same splitmix64 stream-splitting scheme the
 // scenario generator uses, so burst noise is identical no matter which
-// worker processes the epoch or in what order.
+// worker processes the epoch or in what order. The draw comes from an
+// rng.Stream, which seeds in O(1); a math/rand source would pay a
+// 607-word seeding and a 4.9 kB allocation per satellite per epoch.
 func gauss(seed int64, prn int, t float64) float64 {
 	z := uint64(seed) ^ (uint64(prn) * 0x9E3779B97F4A7C15) ^ math.Float64bits(t) ^ 0xD1B54A32D192ED03
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z))).NormFloat64()
+	s := rng.New(int64(rng.Mix64(z)))
+	return s.NormFloat64()
 }
