@@ -38,21 +38,32 @@ const (
 
 // IonoDelay returns the slant ionospheric group delay in meters for a
 // signal at elevation elev (radians) observed at local solar time
-// localTime (seconds of day). The diurnal shape is the Klobuchar
-// half-cosine: quiet floor at night, peak in the early afternoon. The
-// slant factor is the Klobuchar obliquity F = 1 + 16·(0.53 − E/π)³ with E
-// in semicircles — here expressed directly in radians.
+// localTime (seconds of day): IonoSlant(IonoVertical(localTime), elev).
 func IonoDelay(elev, localTime float64) float64 {
-	if elev < 0 {
-		elev = 0
-	}
-	// Diurnal vertical delay.
+	return IonoSlant(IonoVertical(localTime), elev)
+}
+
+// IonoVertical returns the diurnal vertical ionospheric delay in meters
+// at local solar time localTime (seconds of day): the Klobuchar
+// half-cosine, a quiet floor at night and a peak in the early afternoon.
+// It depends on time and longitude only, so a receiver computes it once
+// per epoch for all its satellites.
+func IonoVertical(localTime float64) float64 {
 	x := 2 * math.Pi * (math.Mod(localTime, IonoPeriod) - IonoPeakLocalTime) / IonoPeriod
 	vertical := ZenithIonoQuietM
 	if math.Cos(x) > 0 {
 		vertical += ZenithIonoPeakM * math.Cos(x)
 	}
-	// Klobuchar obliquity with elevation in semicircles.
+	return vertical
+}
+
+// IonoSlant maps a vertical ionospheric delay to elevation elev
+// (radians) with the Klobuchar obliquity F = 1 + 16·(0.53 − E/π)³, E in
+// semicircles — here expressed directly in radians.
+func IonoSlant(vertical, elev float64) float64 {
+	if elev < 0 {
+		elev = 0
+	}
 	eSemi := elev / math.Pi
 	f := 1 + 16*math.Pow(0.53-eSemi, 3)
 	if f < 1 {
@@ -62,11 +73,23 @@ func IonoDelay(elev, localTime float64) float64 {
 }
 
 // TropoDelay returns the slant tropospheric delay in meters at elevation
-// elev (radians) for a station at altitude alt meters, using an
-// exponential zenith delay and a cosecant mapping floored at 3° to avoid
-// the singularity at the horizon.
+// elev (radians) for a station at altitude alt meters:
+// TropoSlant(TropoZenith(alt), elev).
 func TropoDelay(elev, alt float64) float64 {
-	zenith := ZenithTropoSeaLevelM * math.Exp(-math.Max(alt, 0)/TropoScaleHeightM)
+	return TropoSlant(TropoZenith(alt), elev)
+}
+
+// TropoZenith returns the zenith tropospheric delay in meters at
+// altitude alt meters, decaying exponentially with height. It depends on
+// the station only, so a static receiver computes it once.
+func TropoZenith(alt float64) float64 {
+	return ZenithTropoSeaLevelM * math.Exp(-math.Max(alt, 0)/TropoScaleHeightM)
+}
+
+// TropoSlant maps a zenith tropospheric delay to elevation elev
+// (radians) with a cosecant mapping floored at 3° to avoid the
+// singularity at the horizon.
+func TropoSlant(zenith, elev float64) float64 {
 	minElev := 3 * math.Pi / 180
 	if elev < minElev {
 		elev = minElev

@@ -56,6 +56,34 @@ func TestRAIMDetectsAndExcludesFault(t *testing.T) {
 	}
 }
 
+// TestRAIMExclusionZeroAlloc pins the reused leave-one-out buffer: once
+// warm, an epoch that detects a fault and excludes it allocates
+// nothing, and a RAIM reused across epochs reaches the same exclusion
+// and the same solution bits as a fresh one.
+func TestRAIMExclusionZeroAlloc(t *testing.T) {
+	recv := yyr1()
+	obs := scene(t, recv, 2000, 80, 8)
+	rng := rand.New(rand.NewSource(21))
+	for i := range obs {
+		obs[i].Pseudorange += rng.NormFloat64() * 3
+	}
+	obs[3].Pseudorange += 500
+	want, err := (&RAIM{Solver: &NRSolver{Scratch: &Scratch{}}}).Check(2000, obs)
+	if err != nil || want.Excluded != 3 {
+		t.Fatalf("fresh RAIM: excluded %d, err %v", want.Excluded, err)
+	}
+	r := &RAIM{Solver: &NRSolver{Scratch: &Scratch{}}}
+	var got RAIMResult
+	if n := testing.AllocsPerRun(50, func() {
+		got, err = r.Check(2000, obs)
+	}); n != 0 {
+		t.Errorf("%v allocs per exclusion epoch, want 0", n)
+	}
+	if err != nil || got != want {
+		t.Errorf("reused RAIM = %+v, %v; fresh = %+v", got, err, want)
+	}
+}
+
 func TestRAIMWorksWithDirectSolvers(t *testing.T) {
 	recv := yyr1()
 	obs := scene(t, recv, 5000, 12, 9)

@@ -8,8 +8,38 @@ import (
 )
 
 // BenchmarkEngineSteadyState measures the per-fix cost of one session's
-// hot path over pregenerated epochs. The acceptance bar is 0 allocs/op.
+// hot path over pregenerated epochs, per solver, and of live generation
+// through the epoch cache (the live arm). The acceptance bar is 0
+// allocs/op; the live arm's bytes are its share of the cache's
+// per-epoch snapshot.
 func BenchmarkEngineSteadyState(b *testing.B) {
+	b.Run("live", func(b *testing.B) {
+		// Stepped the way a shard steps its sessions: the epoch's
+		// snapshot is warmed once, then every session generates into the
+		// shard's buffer and solves. An op is one fix, so one propagation
+		// is amortized over liveReceivers fixes.
+		const liveReceivers, warm = 8, 300
+		eng, err := New(Config{Receivers: liveReceivers, Workers: 1, Seed: 11})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sessions := eng.shards[0].sessions
+		step := func(k int) {
+			epoch := k / liveReceivers
+			if k%liveReceivers == 0 {
+				_, _ = eng.cache.At(epoch) // a failed snapshot resurfaces from the step
+			}
+			sessions[k%liveReceivers].step(epoch)
+		}
+		for k := 0; k < warm*liveReceivers; k++ {
+			step(k)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for k := 0; k < b.N; k++ {
+			step(warm*liveReceivers + k)
+		}
+	})
 	for _, solver := range []string{"nr", "dlo", "dlg", "bancroft"} {
 		b.Run(solver, func(b *testing.B) {
 			eng, err := New(Config{Receivers: 1, Workers: 1, Solver: solver, Seed: 11})

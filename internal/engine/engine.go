@@ -254,6 +254,13 @@ type shard struct {
 	// propagation.
 	cache *epochcache.Cache
 
+	// gen is the live generation buffer every session on the shard
+	// generates its epoch into (session.ebuf points here). One per shard,
+	// not per session: sessions step one at a time on the shard
+	// goroutine, and each step is done with its observations before the
+	// next session's step overwrites them.
+	gen scenario.EpochBuffer
+
 	// Shard-level quality window (nil when the quality layer is off).
 	// It slides over the last Window epochs of every session on the
 	// shard, keyed by the synthetic index epoch*len(sessions)+pos so
@@ -432,6 +439,7 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		s.posInShard = len(sh.sessions)
+		s.ebuf = &sh.gen
 		s.rec, s.traceEvery, s.traceSlot = cfg.Trace, cfg.Receivers, idx
 		e.sessions[idx] = s
 		sh.sessions = append(sh.sessions, s)

@@ -184,6 +184,40 @@ func TestEngineHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEngineLiveStepZeroAlloc extends the zero-allocation bar to live
+// generation: with the epoch cache on and the epoch's constellation
+// snapshot already published (the shard warms it before stepping), a
+// steady-state session step — generation into the shard's buffer, the
+// clock feed, the chain, DOP and NMEA — allocates nothing.
+func TestEngineLiveStepZeroAlloc(t *testing.T) {
+	eng, err := New(Config{Receivers: 1, Workers: 1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm, measured = 300, 120
+	s := eng.sessions[0]
+	for i := 0; i < warm; i++ {
+		if _, err := eng.cache.At(i); err != nil {
+			t.Fatal(err)
+		}
+		s.step(i)
+	}
+	// Publish every measured epoch's snapshot up front so the measured
+	// steps only read the cache (AllocsPerRun runs one extra warm-up).
+	for i := warm; i <= warm+measured; i++ {
+		if _, err := eng.cache.At(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := warm
+	if n := testing.AllocsPerRun(measured, func() {
+		s.step(i)
+		i++
+	}); n != 0 {
+		t.Errorf("%v allocs per live step, want 0", n)
+	}
+}
+
 // TestEngineConfigValidation covers the constructor's error paths.
 func TestEngineConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {

@@ -171,6 +171,11 @@ type session struct {
 	fev  []fault.Event      // reused per-epoch fault-event buffer
 	buf  []byte             // reused NMEA sentence buffer
 	pre  []scenario.Epoch   // optional pregenerated epochs
+
+	// ebuf is the owning shard's generation buffer: a live epoch's
+	// observations are valid only until the shard's next step, so
+	// nothing a step publishes may keep a reference to them.
+	ebuf *scenario.EpochBuffer
 }
 
 // sessionSeed derives receiver r's seed from the base seed by double
@@ -299,9 +304,11 @@ func (s *session) restart() {
 
 // step runs one epoch end to end: obtain observations, inject faults,
 // warm-start NR to feed the clock predictor, fallback-chain solve (or
-// coast), DOP, NMEA, sink. With pregenerated epochs the whole body is
-// allocation-free in steady state. A sampled epoch (see traceEvery)
-// records each stage as a span; the untraced step pays nil tests only.
+// coast), DOP, NMEA, sink. In steady state the whole body is
+// allocation-free, with pregenerated epochs and with live generation
+// once the epoch's cache snapshot is published. A sampled epoch (see
+// traceEvery) records each stage as a span; the untraced step pays nil
+// tests only.
 func (s *session) step(i int) {
 	tb := s.startTrace(i)
 	sp := tb.Start("epoch/generate")
@@ -317,7 +324,7 @@ func (s *session) step(i int) {
 		ep = s.pre[i]
 	} else {
 		var err error
-		ep, err = s.gen.EpochAt(float64(i) * s.step_)
+		ep, err = s.gen.EpochInto(float64(i)*s.step_, s.ebuf)
 		if err != nil {
 			s.m.epochErrors.Inc()
 			s.observeQuality(quality.Sample{Epoch: uint64(i)})

@@ -176,10 +176,17 @@ func (f *ENUFrame) ToENU(target ECEF) ENU {
 // ElevationAzimuth returns the look angles (radians) from the frame
 // origin to the target, bit-identical to the package-level function.
 func (f *ENUFrame) ElevationAzimuth(target ECEF) (elev, azim float64) {
-	enu := f.ToENU(target)
-	horiz := math.Hypot(enu.E, enu.N)
-	elev = math.Atan2(enu.U, horiz)
-	azim = math.Atan2(enu.E, enu.N)
+	return f.ToENU(target).LookAngles()
+}
+
+// LookAngles returns the elevation above the local horizon and the
+// azimuth clockwise from north (radians) of the direction e points in.
+// Every elevation/azimuth in this package is computed here, so a caller
+// that already holds a target's ENU offset gets bit-identical angles.
+func (e ENU) LookAngles() (elev, azim float64) {
+	horiz := math.Hypot(e.E, e.N)
+	elev = math.Atan2(e.U, horiz)
+	azim = math.Atan2(e.E, e.N)
 	if azim < 0 {
 		azim += 2 * math.Pi
 	}
@@ -202,14 +209,7 @@ func FromENU(origin ECEF, offset ENU) ECEF {
 // satellite as seen from the receiver. Azimuth is measured clockwise from
 // north; elevation from the local horizon.
 func ElevationAzimuth(receiver, satellite ECEF) (elev, azim float64) {
-	enu := ToENU(receiver, satellite)
-	horiz := math.Hypot(enu.E, enu.N)
-	elev = math.Atan2(enu.U, horiz)
-	azim = math.Atan2(enu.E, enu.N)
-	if azim < 0 {
-		azim += 2 * math.Pi
-	}
-	return elev, azim
+	return ToENU(receiver, satellite).LookAngles()
 }
 
 // RotateEarth rotates an ECEF position about the Z axis by the Earth's

@@ -272,6 +272,9 @@ type EpochState struct {
 func (c *Constellation) StateAt(t float64, dst *EpochState) error {
 	dst.T = t
 	dst.Sats = dst.Sats[:0]
+	if cap(dst.Sats) < len(c.sats) {
+		dst.Sats = make([]SatState, 0, len(c.sats))
+	}
 	for _, s := range c.sats {
 		eci, vel, err := s.Orbit.StateECI(t)
 		if err != nil {
@@ -334,20 +337,46 @@ type InView struct {
 // once; per-satellite arithmetic is identical to the historical Visible.
 func VisibleFromState(st *EpochState, receiver geo.ECEF, elevMask float64) []InView {
 	frame := geo.NewENUFrame(receiver)
-	out := make([]InView, 0, len(st.Sats))
+	return VisibleInto(nil, st, &frame, elevMask)
+}
+
+// VisibleInto is VisibleFromState for a caller-held receiver frame,
+// writing into dst's storage: it returns dst[:0] with the visible
+// satellites appended, reallocating only when cap(dst) is smaller than
+// the constellation, so a caller that keeps the returned slice for the
+// next epoch allocates nothing.
+//
+// For elevMask > 0 a satellite is rejected on its up component before
+// any trigonometry: when U ≤ 0 and E, N are not NaN, the horizontal
+// distance h is in [0, +Inf], so atan2(U, h) ≤ 0 < elevMask and the mask
+// test would reject it anyway. Every satellite that passes goes through
+// ENU.LookAngles, so the list — membership, order and angle bits — is
+// exactly the one an all-angles pass produces.
+func VisibleInto(dst []InView, st *EpochState, frame *geo.ENUFrame, elevMask float64) []InView {
+	out := dst[:0]
+	if cap(out) < len(st.Sats) {
+		out = make([]InView, 0, len(st.Sats))
+	}
+	cull := elevMask > 0
 	for i := range st.Sats {
 		s := &st.Sats[i]
-		elev, azim := frame.ElevationAzimuth(s.Pos)
+		enu := frame.ToENU(s.Pos)
+		if cull && enu.U <= 0 && enu.E == enu.E && enu.N == enu.N {
+			continue
+		}
+		elev, azim := enu.LookAngles()
 		if elev < elevMask {
 			continue
 		}
-		out = append(out, InView{Sat: s.Sat, Pos: s.Pos, Elevation: elev, Azimuth: azim, State: s})
-	}
-	// Insertion sort by descending elevation (lists are ~10 long).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Elevation > out[j-1].Elevation; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+		// Insertion into the list sorted by descending elevation (lists
+		// are ~10 long): the order of a stable insertion sort, with each
+		// 136-byte entry written once and shifted rather than swapped.
+		out = append(out, InView{})
+		j := len(out) - 1
+		for ; j > 0 && elev > out[j-1].Elevation; j-- {
+			out[j] = out[j-1]
 		}
+		out[j] = InView{Sat: s.Sat, Pos: s.Pos, Elevation: elev, Azimuth: azim, State: s}
 	}
 	return out
 }

@@ -116,9 +116,19 @@ type Generator struct {
 	canyon    *UrbanCanyon
 	canyonLOS func(elev, azim float64) bool
 
-	// stationLLA is station.Pos.ToLLA(), converted once: the atmosphere
-	// residuals read its height and longitude for every observation.
+	// stationLLA is station.Pos.ToLLA(), converted once: the ionosphere
+	// residual reads its longitude every epoch.
 	stationLLA geo.LLA
+	// frame is the station's ENU frame, built once for a static
+	// receiver; nil for a mobile one (WithTrajectory), whose frame moves
+	// with it every epoch.
+	frame *geo.ENUFrame
+	// stationSeed is Seed mixed with the station ID, the base of the
+	// receiver-local noise streams.
+	stationSeed int64
+	// tropoZenith is atmosphere.TropoZenith(stationLLA.Alt): the
+	// station-constant part of every troposphere residual.
+	tropoZenith float64
 }
 
 // Option customizes a Generator.
@@ -248,16 +258,23 @@ func NewGenerator(station Station, cfg Config, opts ...Option) *Generator {
 	if cfg.Step <= 0 {
 		cfg.Step = 1
 	}
+	lla := station.Pos.ToLLA()
 	g := &Generator{
-		station:    station,
-		stationLLA: station.Pos.ToLLA(),
-		cfg:        cfg,
-		cons:       orbit.DefaultConstellation(),
-		clk:        defaultClockModel(station, cfg.Seed),
-		posAt:      func(float64) geo.ECEF { return station.Pos },
+		station:     station,
+		stationLLA:  lla,
+		stationSeed: cfg.Seed ^ int64(hashString(station.ID)),
+		tropoZenith: atmosphere.TropoZenith(lla.Alt),
+		cfg:         cfg,
+		cons:        orbit.DefaultConstellation(),
+		clk:         defaultClockModel(station, cfg.Seed),
 	}
 	for _, opt := range opts {
 		opt(g)
+	}
+	if g.posAt == nil {
+		g.posAt = func(float64) geo.ECEF { return station.Pos }
+		frame := geo.NewENUFrame(station.Pos)
+		g.frame = &frame
 	}
 	return g
 }
@@ -304,14 +321,35 @@ func (g *Generator) TruthPosition(t float64) geo.ECEF { return g.posAt(t) }
 // pure function of (Seed, station, t): re-generating any epoch gives
 // byte-identical results regardless of order, and — because the cached
 // constellation state is exactly the state a lone generator computes —
-// regardless of whether a shared epoch cache is attached.
+// regardless of whether a shared epoch cache is attached. The returned
+// Obs slice is freshly allocated and owned by the caller.
 func (g *Generator) EpochAt(t float64) (Epoch, error) {
+	var buf EpochBuffer
+	return g.EpochInto(t, &buf)
+}
+
+// EpochBuffer is caller-owned storage for Generator.EpochInto: the
+// observation slice, the visibility list and the locally propagated
+// constellation state, reused from call to call. The zero value is ready
+// to use. One buffer may serve any number of generators in turn, but
+// never two EpochInto calls at once.
+type EpochBuffer struct {
+	obs   []SatObs
+	vis   []orbit.InView
+	state orbit.EpochState
+}
+
+// EpochInto is EpochAt generating into buf, with bit-identical output:
+// the returned Epoch's Obs aliases buf and is valid only until buf's next
+// EpochInto. Once buf has grown to the constellation size, a call whose
+// constellation state comes from the shared epoch cache allocates
+// nothing. The generator itself holds no scratch, so concurrent calls
+// with distinct buffers (GenerateRangeParallel) stay safe.
+func (g *Generator) EpochInto(t float64, buf *EpochBuffer) (Epoch, error) {
 	recv := g.posAt(t)
 	mask := g.cfg.ElevMaskDeg * math.Pi / 180
 	// Constellation state: from the shared snapshot when the cache covers
-	// this time on its canonical grid, otherwise propagated locally. The
-	// local state lives on this call's stack/heap, never in the Generator,
-	// so concurrent EpochAt calls (GenerateRangeParallel) stay safe.
+	// this time on its canonical grid, otherwise propagated into buf.
 	var st *orbit.EpochState
 	if g.cache != nil && g.cache.Constellation() == g.cons {
 		snap, err := g.cache.Lookup(t)
@@ -323,13 +361,18 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 		}
 	}
 	if st == nil {
-		var local orbit.EpochState
-		if err := g.cons.StateAt(t, &local); err != nil {
+		if err := g.cons.StateAt(t, &buf.state); err != nil {
 			return Epoch{}, fmt.Errorf("scenario: constellation at t=%v: %w", t, err)
 		}
-		st = &local
+		st = &buf.state
 	}
-	vis := orbit.VisibleFromState(st, recv, mask)
+	frame := g.frame
+	if frame == nil {
+		moving := geo.NewENUFrame(recv)
+		frame = &moving
+	}
+	vis := orbit.VisibleInto(buf.vis, st, frame, mask)
+	buf.vis = vis
 	biasSec := g.clk.BiasAt(t)
 	var driftMPS float64
 	var recvVel geo.ECEF
@@ -337,8 +380,15 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 		driftMPS = g.clockDrift(t) * geo.SpeedOfLight
 		recvVel = g.receiverVelocity(t)
 	}
-	epoch := Epoch{T: t, Obs: make([]SatObs, 0, len(vis))}
-	for _, v := range vis {
+	// The ionosphere's diurnal vertical delay depends on t and the
+	// station longitude only: one evaluation serves every satellite.
+	ionoVertical := atmosphere.IonoVertical(localSolarTime(g.stationLLA.Lon, t))
+	obs := buf.obs[:0]
+	if cap(obs) < len(vis) {
+		obs = make([]SatObs, 0, len(vis))
+	}
+	for k := range vis {
+		v := &vis[k]
 		if g.visible != nil && !g.visible(v.Elevation, v.Azimuth) {
 			continue
 		}
@@ -346,7 +396,7 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 		// Independent of the error stream (separate tag in the seed mix)
 		// so pseudo-range noise is byte-identical with and without the
 		// C/N0 model, and identical across CodeOnly modes.
-		env := rng.New(obsSeed(g.cfg.Seed^int64(hashString(g.station.ID))^envStreamTag, v.Sat.PRN, t))
+		env := rng.New(obsSeed(g.stationSeed^envStreamTag, v.Sat.PRN, t))
 		nlos := false
 		var nlosBias float64
 		if g.canyon != nil && !g.canyonLOS(v.Elevation, v.Azimuth) {
@@ -356,18 +406,23 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 			nlos = true
 			nlosBias = g.canyon.NLOSBiasM * (0.5 + env.Float64())
 		}
+		// One multipath σ serves both the noise draw and the C/N0 model.
+		var mpSigma float64
+		if g.cfg.Multipath {
+			mpSigma = atmosphere.MultipathSigma(v.Elevation)
+		}
 		// Signal emission position: iterate the light-time equation,
 		// expressing the satellite position in the reception-time frame
 		// (Sagnac correction).
 		emitPos, dist := v.State.Emission(recv, t)
-		eps, iono, tropo, obsRng := g.satelliteErrorParts(v.Sat.PRN, t, v.Elevation)
+		eps, iono, tropo, obsRng := g.satelliteErrorParts(v.Sat.PRN, t, v.Elevation, mpSigma, ionoVertical)
 		pr := dist + geo.SpeedOfLight*biasSec + eps + nlosBias
 		for _, f := range g.faults {
 			if f.PRN == v.Sat.PRN && t >= f.From && t < f.Until {
 				pr += f.Bias
 			}
 		}
-		cn0 := g.nominalCN0(v.Elevation) + (env.Float64()*2-1)*cn0FlutterDB
+		cn0 := g.nominalCN0(mpSigma) + (env.Float64()*2-1)*cn0FlutterDB
 		if nlos {
 			cn0 -= g.canyon.CN0LossDB
 		}
@@ -400,9 +455,10 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 			// noise is ~1.5× L1 (semi-codeless tracking).
 			obsOut.Pseudorange2 = pr + (GammaL1L2-1)*iono + 0.5*g.cfg.NoiseSigma*obsRng.NormFloat64()
 		}
-		epoch.Obs = append(epoch.Obs, obsOut)
+		obs = append(obs, obsOut)
 	}
-	return epoch, nil
+	buf.obs = obs
+	return Epoch{T: t, Obs: obs}, nil
 }
 
 // envStreamTag separates the environment stream (canyon reflections,
@@ -414,15 +470,15 @@ const envStreamTag = 0x7E57C0DE5EED
 // derived weights are realistic estimates rather than oracle truth.
 const cn0FlutterDB = 0.7
 
-// nominalCN0 maps elevation to the C/N0 a receiver would report, by
-// inverting the solver-side σ model over this generator's code-noise
-// budget (thermal + elevation-dependent multipath). Zero noise — some
-// synthetic configs — reports the reference C/N0.
-func (g *Generator) nominalCN0(elev float64) float64 {
+// nominalCN0 maps an observation's code-noise budget (thermal plus the
+// multipath σ at its elevation, mpSigma = atmosphere.MultipathSigma) to
+// the C/N0 a receiver would report, by inverting the solver-side σ
+// model. Zero noise — some synthetic configs — reports the reference
+// C/N0.
+func (g *Generator) nominalCN0(mpSigma float64) float64 {
 	variance := g.cfg.NoiseSigma * g.cfg.NoiseSigma
 	if g.cfg.Multipath {
-		mp := atmosphere.MultipathSigma(elev)
-		variance += mp * mp
+		variance += mpSigma * mpSigma
 	}
 	if variance <= 0 {
 		return atmosphere.CN0RefDBHz
@@ -446,36 +502,33 @@ func (g *Generator) receiverVelocity(t float64) geo.ECEF {
 // (λ·N with N an integer, λ = 19.03 cm for L1), fixed for the day.
 func (g *Generator) carrierAmbiguity(prn int) float64 {
 	const lambdaL1 = 0.1903
-	s := rng.New(obsSeed(g.cfg.Seed^int64(hashString(g.station.ID)), prn, -2))
+	s := rng.New(obsSeed(g.stationSeed, prn, -2))
 	n := s.Intn(2_000_000) - 1_000_000
 	return lambdaL1 * float64(n)
 }
 
-// satelliteError draws the satellite-dependent error εᵢˢ for one
-// observation: thermal noise, multipath, and atmospheric residuals. All
-// draws are deterministic functions of (Seed, station, PRN, t). The
-// station identity enters the receiver-local noise stream (thermal,
-// multipath) but not the per-pass atmospheric factors, so two receivers
-// observing the same satellite share its atmospheric residual — the
-// property differential GPS exploits.
-func (g *Generator) satelliteError(prn int, t, elev float64) float64 {
-	eps, _, _, _ := g.satelliteErrorParts(prn, t, elev)
-	return eps
-}
-
-// satelliteErrorParts draws εᵢˢ and separately reports its ionospheric
-// component (which enters the carrier phase with opposite sign) and
-// tropospheric component (non-dispersive: same sign on the carrier). The
-// returned stream continues the observation's deterministic draws so
+// satelliteErrorParts draws the satellite-dependent error εᵢˢ for one
+// observation — thermal noise, multipath, and atmospheric residuals —
+// and separately reports its ionospheric component (which enters the
+// carrier phase with opposite sign) and tropospheric component (non-
+// dispersive: same sign on the carrier). All draws are deterministic
+// functions of (Seed, station, PRN, t). The station identity enters the
+// receiver-local noise stream (thermal, multipath) but not the per-pass
+// atmospheric factors, so two receivers observing the same satellite
+// share its atmospheric residual — the property differential GPS
+// exploits. mpSigma is the multipath σ at elev and ionoVertical the
+// epoch's vertical ionospheric delay, computed once by the caller.
+//
+// The returned stream continues the observation's deterministic draws so
 // callers can synthesize further per-observation noise. Streams are
 // rng.Stream rather than math/rand: seeding the latter runs a 607-word
 // lagged-Fibonacci warm-up that dominated live generation cost (each
 // epoch seeds ~2 streams per visible satellite).
-func (g *Generator) satelliteErrorParts(prn int, t, elev float64) (eps, iono, tropo float64, obs rng.Stream) {
-	obs = rng.New(obsSeed(g.cfg.Seed^int64(hashString(g.station.ID)), prn, t))
+func (g *Generator) satelliteErrorParts(prn int, t, elev, mpSigma, ionoVertical float64) (eps, iono, tropo float64, obs rng.Stream) {
+	obs = rng.New(obsSeed(g.stationSeed, prn, t))
 	eps = g.cfg.NoiseSigma * obs.NormFloat64()
 	if g.cfg.Multipath {
-		eps += atmosphere.MultipathSigma(elev) * obs.NormFloat64()
+		eps += mpSigma * obs.NormFloat64()
 	}
 	if g.cfg.IonoRemainder > 0 || g.cfg.TropoRemainder > 0 {
 		// Per-satellite model-mismatch factors in [-1, 1], fixed for the
@@ -484,9 +537,8 @@ func (g *Generator) satelliteErrorParts(prn int, t, elev float64) (eps, iono, tr
 		pass := rng.New(obsSeed(g.cfg.Seed, prn, -1))
 		uIono := pass.Float64()*2 - 1
 		uTropo := pass.Float64()*2 - 1
-		localTime := localSolarTime(g.stationLLA.Lon, t)
-		iono = atmosphere.ResidualIono(elev, localTime, g.cfg.IonoRemainder, uIono)
-		tropo = atmosphere.ResidualTropo(elev, g.stationLLA.Alt, g.cfg.TropoRemainder, uTropo)
+		iono = atmosphere.IonoSlant(ionoVertical, elev) * g.cfg.IonoRemainder * uIono
+		tropo = atmosphere.TropoSlant(g.tropoZenith, elev) * g.cfg.TropoRemainder * uTropo
 		eps += iono + tropo
 	}
 	return eps, iono, tropo, obs
